@@ -27,7 +27,7 @@ use std::path::PathBuf;
 use cypher_analysis::rewrite::{order_sensitive, rewrites};
 use cypher_core::{Engine, EngineBuilder, EvalError, ExecLimits, LintMode, ProcessingOrder};
 use cypher_graph::fmt::dump;
-use cypher_graph::{isomorphic, PropertyGraph, Value};
+use cypher_graph::{isomorphic, Delta, PropertyGraph, Value};
 use cypher_parser::{parse, print_query, Dialect};
 use cypher_storage::DurableGraph;
 
@@ -450,8 +450,7 @@ fn ivm_oracle(stmts: &[String], dialect: Dialect, limits: ExecLimits) -> Vec<(St
             // poisoned, so this oracle stops here.
             return findings;
         };
-        let ops = cypher_ivm::Delta::from_ops(g.delta(), &g);
-        g.clear_delta();
+        let ops = Delta::from_ops(&g.take_delta(), &g);
         if outcome.is_err() && !ops.is_empty() {
             findings.push((
                 "ivm".to_owned(),

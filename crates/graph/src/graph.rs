@@ -22,6 +22,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::delta::DeltaOp;
 use crate::error::{GraphError, Result};
 use crate::ids::{EntityRef, NodeId, RelId};
 use crate::interner::{Interner, Symbol};
@@ -256,58 +257,6 @@ pub(crate) enum UndoOp {
 /// Opaque marker for a journal position; see [`PropertyGraph::savepoint`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Savepoint(pub(crate) usize);
-
-/// One logical mutation in *redo* form, captured for write-ahead logging
-/// when [`PropertyGraph::enable_delta_capture`] is on.
-///
-/// Delta entries mirror the undo journal one-to-one: every journaled
-/// mutation pushes exactly one `DeltaOp`, and [`PropertyGraph::rollback_to`]
-/// pops the two stacks in lock-step, so the pending delta is always exactly
-/// the net effect of operations that survived rollback. Compound mutations
-/// decompose into their primitives — `DETACH DELETE` records each cascaded
-/// relationship deletion as its own [`DeltaOp::DeleteRel`] before the
-/// [`DeltaOp::DeleteNode`], and `SET n = {map}` records one
-/// [`DeltaOp::SetProp`] per changed key — so replaying a delta in order
-/// through the primitive mutation APIs reproduces the state transition
-/// exactly, including mid-statement dangling phases of the legacy engine.
-#[derive(Clone, Debug, PartialEq)]
-pub enum DeltaOp {
-    CreateNode {
-        id: NodeId,
-        labels: Vec<Symbol>,
-        props: Vec<(Symbol, Value)>,
-    },
-    CreateRel {
-        id: RelId,
-        src: NodeId,
-        tgt: NodeId,
-        rel_type: Symbol,
-        props: Vec<(Symbol, Value)>,
-    },
-    DeleteRel {
-        id: RelId,
-    },
-    /// The node had no attached relationships at this point of the op
-    /// sequence *unless* the legacy engine force-deleted it; replay with
-    /// [`DeleteNodeMode::Force`] handles both.
-    DeleteNode {
-        id: NodeId,
-    },
-    AddLabel {
-        node: NodeId,
-        label: Symbol,
-    },
-    RemoveLabel {
-        node: NodeId,
-        label: Symbol,
-    },
-    /// `value: None` removes the key (Cypher's `SET n.k = null`).
-    SetProp {
-        entity: EntityRef,
-        key: Symbol,
-        value: Option<Value>,
-    },
-}
 
 /// Property values wrapped with the global order, usable as index keys.
 /// Equal keys are exactly *equivalent* values (so `1` and `1.0` share an
@@ -1251,20 +1200,20 @@ impl PropertyGraph {
     }
 
     /// The redo entries of all operations recorded since the last
-    /// [`Self::clear_delta`] that were not rolled back.
+    /// [`Self::take_delta`] that were not rolled back.
     pub fn delta(&self) -> &[DeltaOp] {
         &self.delta
     }
 
-    /// Forget the pending delta — called by the durability layer once it has
-    /// been written to the log. Only valid at a statement boundary (empty
+    /// Move the pending delta out — called by the durability layer once a
+    /// statement has committed. Only valid at a statement boundary (empty
     /// journal), otherwise a later rollback would desynchronise the stacks.
-    pub fn clear_delta(&mut self) {
+    pub fn take_delta(&mut self) -> Vec<DeltaOp> {
         debug_assert!(
             self.journal.is_empty(),
-            "delta cleared mid-statement would desynchronise rollback"
+            "delta taken mid-statement would desynchronise rollback"
         );
-        self.delta.clear();
+        std::mem::take(&mut self.delta)
     }
 
     // ------------------------------------------------------------------

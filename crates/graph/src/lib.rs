@@ -10,6 +10,9 @@
 //! * [`value`] — the Cypher value system with ternary logic,
 //! * [`graph`] — the store itself ([`PropertyGraph`]): adjacency and label
 //!   indexes, tombstones for legacy "zombie" semantics, and an undo journal,
+//! * [`delta`] — the mutation vocabulary: the seven primitive updates as
+//!   captured ([`DeltaOp`]) and as shipped to every consumer ([`Delta`]),
+//!   with the one conversion and the one replay ([`apply_delta`]),
 //! * [`txn`] — RAII statement transactions with the no-dangling integrity
 //!   check at commit,
 //! * [`epoch`] — write-epoch snapshot publication for multi-session
@@ -24,6 +27,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod delta;
 pub mod epoch;
 pub mod error;
 pub mod fmt;
@@ -35,11 +39,12 @@ pub mod stats;
 pub mod txn;
 pub mod value;
 
+pub use delta::{apply_delta, Delta, DeltaOp};
 pub use epoch::EpochSnapshots;
 pub use error::{GraphError, Result};
 pub use graph::{
-    AdjIter, DeleteNodeMode, DeltaOp, Direction, IndexStats, NodeData, PropertyGraph, PropertyMap,
-    RelData, Savepoint,
+    AdjIter, DeleteNodeMode, Direction, IndexStats, NodeData, PropertyGraph, PropertyMap, RelData,
+    Savepoint,
 };
 pub use ids::{EntityKind, EntityRef, NodeId, RelId};
 pub use interner::{Interner, Symbol};

@@ -3,14 +3,19 @@
 //! This crate implements ROADMAP item 4: delta-driven maintenance of
 //! registered read-only Cypher queries (Szárnyas, *Incremental View
 //! Maintenance for Property Graph Queries*, arXiv 1712.04108 — the
-//! Rete/TREAT family), consuming the same committed [`DeltaOp`] stream
-//! that feeds the WAL and the replication hub.
+//! Rete/TREAT family), consuming the same committed [`Delta`] stream that
+//! feeds the WAL.
+//!
+//! The crate defines no mutation vocabulary of its own: [`Delta`] and
+//! [`apply_delta`] are `cypher-graph`'s (re-exported here for the feed's
+//! callers), the one owned spelling of the seven primitive mutations and
+//! the one replay function crash recovery also uses.
 //!
 //! The design (DESIGN.md §15) in one paragraph: a [`ViewManager`] owns a
 //! *shadow graph* — a clone of the durable graph kept in lock-step by
-//! replaying each committed statement's [`Delta`] ops through the same
-//! primitive-mutation replay discipline crash recovery uses — plus one
-//! [compiled view](view) per registered query. A maintainable query
+//! replaying each committed statement's [`Delta`] ops through
+//! [`apply_delta`] — plus one [compiled view](view) per registered query.
+//! A maintainable query
 //! (single `MATCH`/`WHERE`/`RETURN`, see [`view`]) keeps a TREAT-style
 //! match memory keyed by the complete variable→entity binding, with a
 //! reverse index from entity id to matches; each delta op removes affected
@@ -28,15 +33,12 @@
 //! fsync), so a subscriber can never observe a mid-statement state or a
 //! dangling relationship — the revised engine's commit-time integrity
 //! check ran before the delta was ever produced.
-//!
-//! [`DeltaOp`]: cypher_graph::DeltaOp
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-mod delta;
 mod view;
 
-pub use delta::{apply_delta, Delta, DeltaEntity};
+pub use cypher_graph::{apply_delta, Delta};
 pub use view::{Registered, ViewStat, ViewUpdate};
 
 use std::collections::BTreeMap;
@@ -68,7 +70,6 @@ impl ViewManager {
     pub fn new(committed: &PropertyGraph, seq: u64) -> ViewManager {
         let mut shadow = committed.clone();
         shadow.disable_delta_capture();
-        shadow.clear_delta();
         ViewManager {
             shadow,
             views: BTreeMap::new(),

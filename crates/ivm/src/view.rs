@@ -25,13 +25,11 @@ use cypher_core::eval::{eval_predicate, EvalCtx};
 use cypher_core::{
     named_projection_items, project_rows_unordered, Engine, EvalError, Matcher, Record,
 };
-use cypher_graph::{NodeId, PropertyGraph, RelId, Value};
+use cypher_graph::{Delta, EntityRef, NodeId, PropertyGraph, RelId, Value};
 use cypher_parser::ast::{
     is_aggregate_fn, Clause, Expr, PathPattern, ProjectionItems, RelDirection,
 };
 use cypher_parser::parse;
-
-use crate::delta::{Delta, DeltaEntity};
 
 /// An entity id usable as an index key (`Value` itself has no total order).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -574,8 +572,8 @@ impl View {
             }
             Delta::SetProp { entity, .. } => {
                 let ent = match entity {
-                    DeltaEntity::Node(n) => EntKey::Node(*n),
-                    DeltaEntity::Rel(r) => EntKey::Rel(*r),
+                    EntityRef::Node(n) => EntKey::Node(n.0),
+                    EntityRef::Rel(r) => EntKey::Rel(r.0),
                 };
                 network.remove_entity(ent, &mut scratch.added, &mut scratch.removed);
                 scratch.touched = true;
@@ -585,7 +583,7 @@ impl View {
     }
 
     /// Phase B of one op: re-enumeration against the *post-op* state.
-    /// `detached` are rels a force `DeleteNode` removed implicitly.
+    /// `detached` are rels a force `DeleteNode` left without an endpoint.
     pub(crate) fn after_op(
         &mut self,
         shadow: &PropertyGraph,
@@ -621,13 +619,13 @@ impl View {
                 self.repin_node(shadow, *node, scratch)?;
             }
             Delta::SetProp { entity, .. } => match entity {
-                DeltaEntity::Node(n) => self.repin_node(shadow, *n, scratch)?,
-                DeltaEntity::Rel(r) => {
-                    let Some(data) = shadow.rel(RelId(*r)) else {
+                EntityRef::Node(n) => self.repin_node(shadow, n.0, scratch)?,
+                EntityRef::Rel(r) => {
+                    let Some(data) = shadow.rel(*r) else {
                         return Ok(());
                     };
                     let (src, tgt) = (data.src.0, data.tgt.0);
-                    self.repin_rel(shadow, *r, src, tgt, scratch)?;
+                    self.repin_rel(shadow, r.0, src, tgt, scratch)?;
                 }
             },
         }

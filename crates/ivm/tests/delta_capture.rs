@@ -1,10 +1,10 @@
-//! Delta-capture ordering invariants, pinned directly on `PropertyGraph`
-//! (independent of the fuzz suite): the committed [`DeltaOp`] stream is the
-//! contract every downstream consumer — WAL, replication, view maintenance —
-//! replays, so its shape is load-bearing.
+//! Delta-capture ordering invariants, pinned on the owned [`Delta`] stream a
+//! committed statement yields (independent of the fuzz suite): it is the
+//! contract every downstream consumer — WAL, view maintenance, the test
+//! oracles — replays, so its shape is load-bearing.
 
 use cypher_core::Engine;
-use cypher_graph::{DeltaOp, PropertyGraph};
+use cypher_graph::{Delta, PropertyGraph};
 
 fn seeded() -> (Engine, PropertyGraph) {
     let engine = Engine::revised();
@@ -19,6 +19,11 @@ fn seeded() -> (Engine, PropertyGraph) {
     (engine, g)
 }
 
+/// The statement's committed delta, moved out of the graph.
+fn committed(g: &mut PropertyGraph) -> Vec<Delta> {
+    Delta::from_ops(&g.take_delta(), g)
+}
+
 /// `DETACH DELETE` emits every `DeleteRel` strictly before the
 /// `DeleteNode`, so replaying the delta in order never deletes a node that
 /// still has relationships.
@@ -28,18 +33,9 @@ fn detach_delete_orders_rels_before_node() {
     engine
         .run(&mut g, "MATCH (n:Person {name: 'a'}) DETACH DELETE n")
         .expect("detach delete");
-    let delta = g.delta();
-    let rel_pos = delta
-        .iter()
-        .position(|op| matches!(op, DeltaOp::DeleteRel { .. }))
-        .expect("a DeleteRel op");
-    let node_pos = delta
-        .iter()
-        .position(|op| matches!(op, DeltaOp::DeleteNode { .. }))
-        .expect("a DeleteNode op");
-    assert!(
-        rel_pos < node_pos,
-        "DeleteRel must precede DeleteNode, got {delta:?}"
+    assert_eq!(
+        committed(&mut g),
+        vec![Delta::DeleteRel { id: 0 }, Delta::DeleteNode { id: 0 }]
     );
 }
 
@@ -57,10 +53,9 @@ fn set_map_emits_one_setprop_per_changed_key() {
         .expect("set map");
     let mut removed = Vec::new();
     let mut set = Vec::new();
-    for op in g.delta() {
+    for op in committed(&mut g) {
         match op {
-            DeltaOp::SetProp { key, value, .. } => {
-                let key = g.sym_str(*key).to_owned();
+            Delta::SetProp { key, value, .. } => {
                 if value.is_none() {
                     removed.push(key);
                 } else {
@@ -90,10 +85,10 @@ fn rollback_rewinds_delta_and_id_allocators() {
         "CREATE (x:Person {name: 'c'})-[:KNOWS]->(y:Person {name: 'd'}) RETURN 1 / 0",
     );
     assert!(err.is_err(), "statement should abort");
-    assert!(
-        g.delta().is_empty(),
-        "rolled-back statement leaked delta ops: {:?}",
-        g.delta()
+    assert_eq!(
+        committed(&mut g),
+        vec![],
+        "rolled-back statement leaked delta ops"
     );
     assert_eq!(
         g.next_ids(),
@@ -105,10 +100,9 @@ fn rollback_rewinds_delta_and_id_allocators() {
     engine
         .run(&mut g, "CREATE (:Person {name: 'e'})")
         .expect("post-rollback create");
-    assert_eq!(g.delta().len(), 1);
-    match &g.delta()[0] {
-        DeltaOp::CreateNode { id, .. } => assert_eq!(id.0, before_ids.0),
-        other => panic!("expected CreateNode, got {other:?}"),
+    match committed(&mut g).as_slice() {
+        [Delta::CreateNode { id, .. }] => assert_eq!(*id, before_ids.0),
+        other => panic!("expected one CreateNode, got {other:?}"),
     }
 }
 
@@ -119,5 +113,5 @@ fn dangling_delete_aborts_cleanly() {
     let (engine, mut g) = seeded();
     let err = engine.run(&mut g, "MATCH (n:Person {name: 'a'}) DELETE n");
     assert!(err.is_err(), "deleting a connected node must error");
-    assert!(g.delta().is_empty(), "aborted delete leaked ops");
+    assert_eq!(committed(&mut g), vec![], "aborted delete leaked ops");
 }

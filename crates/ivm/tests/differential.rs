@@ -206,8 +206,7 @@ fn run_campaign(seed: u64, steps: usize) {
             continue;
         };
         let outcome = engine.run(&mut g, &stmt);
-        let ops = Delta::from_ops(g.delta(), &g);
-        g.clear_delta();
+        let ops = Delta::from_ops(&g.take_delta(), &g);
         if outcome.is_err() {
             assert!(
                 ops.is_empty(),
@@ -308,8 +307,7 @@ fn unregister_stops_updates() {
     engine
         .run(&mut g, "CREATE (:Person {name: 'b'})")
         .expect("write");
-    let ops = Delta::from_ops(g.delta(), &g);
-    g.clear_delta();
+    let ops = Delta::from_ops(&g.take_delta(), &g);
     let updates = mgr.apply_statement(1, &ops).expect("apply");
     assert_eq!(updates.len(), 1);
     assert_eq!(updates[0].view, second.id);
@@ -334,8 +332,7 @@ fn broken_view_parks_and_recovers() {
     engine
         .run(&mut g, "MATCH (n:Counter) SET n.v = 0")
         .expect("write");
-    let ops = Delta::from_ops(g.delta(), &g);
-    g.clear_delta();
+    let ops = Delta::from_ops(&g.take_delta(), &g);
     mgr.apply_statement(1, &ops).expect("apply");
     assert!(
         mgr.last_error(reg.id).is_some(),
@@ -346,8 +343,7 @@ fn broken_view_parks_and_recovers() {
     engine
         .run(&mut g, "MATCH (n:Counter) SET n.v = 2")
         .expect("write");
-    let ops = Delta::from_ops(g.delta(), &g);
-    g.clear_delta();
+    let ops = Delta::from_ops(&g.take_delta(), &g);
     mgr.apply_statement(2, &ops).expect("apply");
     assert!(mgr.last_error(reg.id).is_none(), "view should recover");
     let fresh = engine

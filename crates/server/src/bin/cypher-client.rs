@@ -1,6 +1,6 @@
-//! `cypher-client` — scripted client and load generator for `cypher-serve`.
+//! `cypher-client` — scripted client for `cypher-serve`.
 //!
-//! Scripted mode runs actions in command-line order:
+//! Runs actions in command-line order:
 //!
 //! ```text
 //! $ cypher-client --addr 127.0.0.1:7878 \
@@ -13,27 +13,14 @@
 //! `--expect-error` succeeds only if the statement FAILS server-side (used
 //! by verify.sh to prove budget refusals travel the wire as typed errors).
 //!
-//! Load mode opens `--threads` concurrent sessions, each running `--load`
-//! statements (a write/read mix), retries `Busy` refusals, and writes
-//! throughput + latency percentiles to `--out` (default `BENCH_5.json`):
-//!
-//! ```text
-//! $ cypher-client --addr 127.0.0.1:7878 --load 500 --threads 8 --out BENCH_5.json
-//! ```
-//!
-//! With `--read-addr` the load generator exercises a replication pair:
-//! writes go to `--addr` (the primary), reads go to `--read-addr` (a
-//! replica), a monitor thread samples both servers' `Stats` to record the
-//! maximum replication lag, and the run ends by waiting for the replica
-//! to converge on the primary's final sequence (default out:
-//! `BENCH_6.json`).
+//! Load generation lives in the repository's one benchmark harness, not
+//! here: see `perfbench/README.md` and `BENCHMARK.json`.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use cypher_graph::Value;
 use cypher_server::{Client, HelloOptions};
@@ -44,8 +31,7 @@ const USAGE: &str = "usage: cypher-client --addr HOST:PORT \
 ( [--run STMT | --run-routed STMT | --expect-error STMT | --dump | --commit-log | --checkpoint \
 | --stats | --promote | --epoch N --fence ADDR]... \
 [--goodbye] [--shutdown] \
-| --subscribe-query STMT [--deltas N] [--watch] \
-| --load N --threads T [--read-addr HOST:PORT] [--label NAME] [--out FILE] )";
+| --subscribe-query STMT [--deltas N] [--watch] )";
 
 enum Action {
     Run(String),
@@ -69,9 +55,6 @@ struct Options {
     addr: String,
     hello: HelloOptions,
     actions: Vec<Action>,
-    load: Option<(u64, u64, String)>,
-    read_addr: Option<String>,
-    label: Option<String>,
     /// `--stats` output as one JSON object instead of text lines.
     json: bool,
     /// `--subscribe-query`: exit after this many data batches (0 = exit
@@ -87,16 +70,10 @@ fn parse_args() -> Result<Options, String> {
         addr: String::new(),
         hello: HelloOptions::server_defaults(),
         actions: Vec::new(),
-        load: None,
-        read_addr: None,
-        label: None,
         json: false,
         deltas: 0,
         watch: false,
     };
-    let mut load_n: Option<u64> = None;
-    let mut threads: u64 = 4;
-    let mut out: Option<String> = None;
     let mut epoch: u64 = 0;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -129,7 +106,6 @@ fn parse_args() -> Result<Options, String> {
             "--promote" => opts.actions.push(Action::Promote),
             "--epoch" => epoch = parse_u64(&next("--epoch")?)?.ok_or("--epoch takes a number")?,
             "--fence" => opts.actions.push(Action::Fence(next("--fence")?, epoch)),
-            "--label" => opts.label = Some(next("--label")?),
             "--goodbye" => opts.actions.push(Action::Goodbye),
             "--shutdown" => opts.actions.push(Action::Shutdown),
             "--subscribe-query" => opts
@@ -144,12 +120,6 @@ fn parse_args() -> Result<Options, String> {
                 "json" => opts.json = true,
                 _ => return Err("--format takes `text` or `json`".to_owned()),
             },
-            "--load" => load_n = parse_u64(&next("--load")?)?,
-            "--threads" => {
-                threads = parse_u64(&next("--threads")?)?.ok_or("--threads takes a number")?
-            }
-            "--out" => out = Some(next("--out")?),
-            "--read-addr" => opts.read_addr = Some(next("--read-addr")?),
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag {other}")),
         }
@@ -157,20 +127,8 @@ fn parse_args() -> Result<Options, String> {
     if opts.addr.is_empty() {
         return Err("--addr HOST:PORT is required".to_owned());
     }
-    if let Some(n) = load_n {
-        let default_out = if opts.read_addr.is_some() {
-            "BENCH_6.json"
-        } else {
-            "BENCH_5.json"
-        };
-        opts.load = Some((
-            n,
-            threads.max(1),
-            out.unwrap_or_else(|| default_out.to_owned()),
-        ));
-    }
-    if opts.actions.is_empty() && opts.load.is_none() {
-        return Err("nothing to do: give --run/--dump/... actions or --load".to_owned());
+    if opts.actions.is_empty() {
+        return Err("nothing to do: give --run/--dump/... actions".to_owned());
     }
     Ok(opts)
 }
@@ -583,276 +541,6 @@ fn print_outcome(text: &str, outcome: &cypher_server::RunOutcome) {
     }
 }
 
-/// The load generator: `threads` sessions × `n` statements each, 50/50
-/// write/read mix, Busy retried. Latencies are recorded per statement.
-fn load_test(
-    addr: &str,
-    hello: &HelloOptions,
-    n: u64,
-    threads: u64,
-    out: &str,
-    label: &str,
-) -> ExitCode {
-    let started = Instant::now();
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let addr = addr.to_owned();
-            let hello = hello.clone();
-            std::thread::spawn(move || -> Result<(Vec<u64>, Vec<u64>), String> {
-                let mut client =
-                    Client::connect(&addr, &hello).map_err(|e| format!("connect: {e}"))?;
-                let mut write_us = Vec::with_capacity((n / 2 + 1) as usize);
-                let mut read_us = Vec::with_capacity((n / 2 + 1) as usize);
-                for i in 0..n {
-                    let (text, lat) = if i % 2 == 0 {
-                        (
-                            format!("CREATE (:Load {{thread: {t}, seq: {i}}})"),
-                            &mut write_us,
-                        )
-                    } else {
-                        (
-                            format!(
-                                "MATCH (x:Load {{thread: {t}, seq: {}}}) RETURN x.seq",
-                                i - 1
-                            ),
-                            &mut read_us,
-                        )
-                    };
-                    let t0 = Instant::now();
-                    client
-                        .run_with_retry(&text, 1000)
-                        .map_err(|e| format!("statement {i}: {e}"))?;
-                    lat.push(t0.elapsed().as_micros() as u64);
-                }
-                client.goodbye().map_err(|e| format!("goodbye: {e}"))?;
-                Ok((write_us, read_us))
-            })
-        })
-        .collect();
-
-    let mut write_us = Vec::new();
-    let mut read_us = Vec::new();
-    for h in handles {
-        match h.join() {
-            Ok(Ok((w, r))) => {
-                write_us.extend(w);
-                read_us.extend(r);
-            }
-            Ok(Err(e)) => {
-                eprintln!("error: load thread: {e}");
-                return ExitCode::from(1);
-            }
-            Err(_) => {
-                eprintln!("error: load thread panicked");
-                return ExitCode::from(1);
-            }
-        }
-    }
-    let elapsed = started.elapsed();
-    let total = write_us.len() + read_us.len();
-    let throughput = total as f64 / elapsed.as_secs_f64();
-
-    let report = format!(
-        "{{\n  \"benchmark\": \"{label}\",\n  \"threads\": {threads},\n  \
-         \"statements_per_session\": {n},\n  \"total_statements\": {total},\n  \
-         \"elapsed_ms\": {},\n  \"throughput_stmts_per_s\": {:.1},\n  \
-         \"write\": {},\n  \"read\": {}\n}}\n",
-        elapsed.as_millis(),
-        throughput,
-        percentiles_json(&mut write_us),
-        percentiles_json(&mut read_us),
-    );
-    print!("{report}");
-    match std::fs::File::create(out).and_then(|mut f| f.write_all(report.as_bytes())) {
-        Ok(()) => {
-            eprintln!("wrote {out}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: cannot write {out}: {e}");
-            ExitCode::from(1)
-        }
-    }
-}
-
-/// The replication load generator: writes stream to the primary while
-/// reads hit the replica, a monitor samples both `Stats` frames for the
-/// maximum replication lag (primary commit seq − replica commit seq), and
-/// the run ends by waiting for full convergence.
-fn replica_load_test(
-    addr: &str,
-    read_addr: &str,
-    hello: &HelloOptions,
-    n: u64,
-    threads: u64,
-    out: &str,
-    label: &str,
-) -> ExitCode {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    let started = Instant::now();
-    let stop = Arc::new(AtomicBool::new(false));
-    let max_lag = Arc::new(AtomicU64::new(0));
-
-    // Monitor: sample both servers' commit sequences and keep the worst
-    // spread seen. Uses its own sessions so it never queues behind load.
-    let monitor = {
-        let (addr, read_addr, hello) = (addr.to_owned(), read_addr.to_owned(), hello.clone());
-        let (stop, max_lag) = (Arc::clone(&stop), Arc::clone(&max_lag));
-        std::thread::spawn(move || {
-            let Ok(mut primary) = Client::connect(&addr, &hello) else {
-                return;
-            };
-            let Ok(mut replica) = Client::connect(&read_addr, &hello) else {
-                return;
-            };
-            while !stop.load(Ordering::Acquire) {
-                if let (Ok(p), Ok(r)) = (primary.stats(), replica.stats()) {
-                    let lag = p.commit_seq.saturating_sub(r.commit_seq);
-                    max_lag.fetch_max(lag, Ordering::AcqRel);
-                }
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
-        })
-    };
-
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let (addr, read_addr, hello) = (addr.to_owned(), read_addr.to_owned(), hello.clone());
-            std::thread::spawn(move || -> Result<(Vec<u64>, Vec<u64>), String> {
-                let mut writer =
-                    Client::connect(&addr, &hello).map_err(|e| format!("connect primary: {e}"))?;
-                let mut reader = Client::connect(&read_addr, &hello)
-                    .map_err(|e| format!("connect replica: {e}"))?;
-                let mut write_us = Vec::with_capacity((n / 2 + 1) as usize);
-                let mut read_us = Vec::with_capacity((n / 2 + 1) as usize);
-                for i in 0..n {
-                    if i % 2 == 0 {
-                        let text = format!("CREATE (:Load {{thread: {t}, seq: {i}}})");
-                        let t0 = Instant::now();
-                        writer
-                            .run_with_retry(&text, 1000)
-                            .map_err(|e| format!("write {i}: {e}"))?;
-                        write_us.push(t0.elapsed().as_micros() as u64);
-                    } else {
-                        // The replica serves this wait-free from its own
-                        // epoch snapshot; an empty result just means the
-                        // write has not replicated yet — that gap is what
-                        // the lag monitor quantifies.
-                        let text = format!(
-                            "MATCH (x:Load {{thread: {t}, seq: {}}}) RETURN x.seq",
-                            i - 1
-                        );
-                        let t0 = Instant::now();
-                        reader
-                            .run_with_retry(&text, 1000)
-                            .map_err(|e| format!("read {i}: {e}"))?;
-                        read_us.push(t0.elapsed().as_micros() as u64);
-                    }
-                }
-                writer.goodbye().map_err(|e| format!("goodbye: {e}"))?;
-                reader.goodbye().map_err(|e| format!("goodbye: {e}"))?;
-                Ok((write_us, read_us))
-            })
-        })
-        .collect();
-
-    let mut write_us = Vec::new();
-    let mut read_us = Vec::new();
-    for h in handles {
-        match h.join() {
-            Ok(Ok((w, r))) => {
-                write_us.extend(w);
-                read_us.extend(r);
-            }
-            Ok(Err(e)) => {
-                eprintln!("error: load thread: {e}");
-                stop.store(true, Ordering::Release);
-                let _ = monitor.join();
-                return ExitCode::from(1);
-            }
-            Err(_) => {
-                eprintln!("error: load thread panicked");
-                stop.store(true, Ordering::Release);
-                let _ = monitor.join();
-                return ExitCode::from(1);
-            }
-        }
-    }
-    let elapsed = started.elapsed();
-    stop.store(true, Ordering::Release);
-    let _ = monitor.join();
-
-    // Convergence: wait (bounded) for the replica to reach the primary's
-    // final commit sequence.
-    let converge_ms = {
-        let t0 = Instant::now();
-        let result = (|| -> Result<u128, String> {
-            let mut primary = Client::connect(addr, hello).map_err(|e| e.to_string())?;
-            let mut replica = Client::connect(read_addr, hello).map_err(|e| e.to_string())?;
-            let target = primary.stats().map_err(|e| e.to_string())?.commit_seq;
-            while t0.elapsed() < std::time::Duration::from_secs(30) {
-                let seq = replica.stats().map_err(|e| e.to_string())?.commit_seq;
-                if seq >= target {
-                    return Ok(t0.elapsed().as_millis());
-                }
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-            Err("replica did not converge within 30s".to_owned())
-        })();
-        match result {
-            Ok(ms) => ms,
-            Err(e) => {
-                eprintln!("error: convergence: {e}");
-                return ExitCode::from(1);
-            }
-        }
-    };
-
-    let total = write_us.len() + read_us.len();
-    let throughput = total as f64 / elapsed.as_secs_f64();
-    let report = format!(
-        "{{\n  \"benchmark\": \"{label}\",\n  \"threads\": {threads},\n  \
-         \"statements_per_session\": {n},\n  \"total_statements\": {total},\n  \
-         \"elapsed_ms\": {},\n  \"throughput_stmts_per_s\": {:.1},\n  \
-         \"max_replication_lag_units\": {},\n  \"converge_ms\": {converge_ms},\n  \
-         \"write\": {},\n  \"read_replica\": {}\n}}\n",
-        elapsed.as_millis(),
-        throughput,
-        max_lag.load(Ordering::Acquire),
-        percentiles_json(&mut write_us),
-        percentiles_json(&mut read_us),
-    );
-    print!("{report}");
-    match std::fs::File::create(out).and_then(|mut f| f.write_all(report.as_bytes())) {
-        Ok(()) => {
-            eprintln!("wrote {out}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: cannot write {out}: {e}");
-            ExitCode::from(1)
-        }
-    }
-}
-
-fn percentiles_json(lat_us: &mut [u64]) -> String {
-    if lat_us.is_empty() {
-        return "null".to_owned();
-    }
-    lat_us.sort_unstable();
-    let pick = |p: f64| lat_us[((lat_us.len() - 1) as f64 * p) as usize];
-    format!(
-        "{{ \"count\": {}, \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \"max_us\": {} }}",
-        lat_us.len(),
-        pick(0.50),
-        pick(0.90),
-        pick(0.99),
-        lat_us[lat_us.len() - 1]
-    )
-}
-
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(o) => o,
@@ -865,21 +553,5 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match &opts.load {
-        Some((n, threads, out)) => {
-            let (n, threads, out) = (*n, *threads, out.clone());
-            match &opts.read_addr {
-                Some(read_addr) => {
-                    let read_addr = read_addr.clone();
-                    let label = opts.label.as_deref().unwrap_or("replica_load");
-                    replica_load_test(&opts.addr, &read_addr, &opts.hello, n, threads, &out, label)
-                }
-                None => {
-                    let label = opts.label.as_deref().unwrap_or("server_load");
-                    load_test(&opts.addr, &opts.hello, n, threads, &out, label)
-                }
-            }
-        }
-        None => scripted(opts),
-    }
+    scripted(opts)
 }

@@ -64,18 +64,18 @@
 //! state and silently diverge every replica. After `reopen`, memory ==
 //! durable == shipped, always.
 //!
-//! The worker also maintains the **commit log** — the texts of
-//! successfully committed update statements in apply order — which is the
-//! serialization oracle for the differential tests: replaying the log
-//! through a single-threaded engine must reproduce the server's graph
-//! byte-for-byte. The **mirror** is its replication twin: shipped units
-//! since the recovery base, from which late subscribers are back-filled
-//! (older subscribers bootstrap from a full snapshot instead). Both live
-//! behind a small mutex shared by the two stages: the flusher extends
-//! them as batches retire, and the builder reads them for tail jobs only
-//! after draining the pipeline, so subscribers still attach gap-free.
+//! The worker also maintains the **mirror**: the units shipped since the
+//! recovery base, newest `MIRROR_CAP_BYTES` of them, from which late
+//! subscribers are back-filled (older subscribers bootstrap from a full
+//! snapshot instead). Its statement texts, in commit order, are also what
+//! the `CommitLog` frame serves — the serialization oracle for the
+//! differential tests: replaying them through a single-threaded engine
+//! must reproduce the server's graph byte-for-byte. It lives behind a small
+//! mutex shared by the two stages: the flusher extends it as batches
+//! retire, and the builder reads it for tail jobs only after draining the
+//! pipeline, so subscribers still attach gap-free.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -83,8 +83,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cypher_core::{Engine, EngineBuilder, EvalError, QueryResult};
-use cypher_graph::{EpochSnapshots, PropertyGraph};
-use cypher_ivm::{Delta, Registered, ViewManager, ViewStat, ViewUpdate};
+use cypher_graph::{Delta, EpochSnapshots, PropertyGraph};
+use cypher_ivm::{Registered, ViewManager, ViewStat, ViewUpdate};
 use cypher_parser::Dialect;
 use cypher_replication::{
     PeerProgress, QuorumState, QuorumStateCell, ReplicationHub, Role, RoleCell, ShippedUnit,
@@ -392,7 +392,7 @@ pub enum Job {
     Checkpoint {
         resp: SyncSender<Result<(), StorageError>>,
     },
-    /// The committed-statement texts, in commit order.
+    /// The retained committed-statement texts, in commit order.
     CommitLog { resp: SyncSender<Vec<String>> },
     /// Attach a replica subscriber; the worker decides backlog vs
     /// snapshot bootstrap atomically with respect to publishing.
@@ -592,12 +592,13 @@ impl SharedStore {
         // acted in, which is the freshest this zombie has ever seen.
         let repl_epoch = Arc::new(AtomicU64::new(durable.fence_epoch().max(1)));
 
-        let mirror_base = durable.recovered_base();
-        let mirror: Vec<ShippedUnit> = durable
-            .take_recovered_statements()
-            .into_iter()
-            .map(|(seq, dialect, text)| ShippedUnit { seq, dialect, text })
-            .collect();
+        let mut ship = ShipState::starting_after(durable.recovered_base());
+        ship.keep(
+            durable
+                .take_recovered_statements()
+                .into_iter()
+                .map(|(seq, dialect, text)| ShippedUnit { seq, dialect, text }),
+        );
         let views = Arc::new(ViewHub::new());
         let flush = Arc::new(FlushCtx {
             snaps: Arc::clone(&snaps),
@@ -608,11 +609,7 @@ impl SharedStore {
             sync_replicas: opts.sync_replicas,
             sync_timeout: opts.sync_timeout,
             sync_policy: opts.sync_policy,
-            ship: Mutex::new(ShipState {
-                commit_log: Vec::new(),
-                mirror,
-                mirror_base,
-            }),
+            ship: Mutex::new(ship),
         });
         let state = WorkerState {
             durable,
@@ -699,7 +696,10 @@ impl SharedStore {
         rx.recv().map_err(|_| Busy("apply worker exited"))
     }
 
-    /// The commit log (differential-test oracle and `CommitLog` frame).
+    /// The statements the catch-up mirror retains, in commit order: every
+    /// one committed since the last checkpoint before this process started,
+    /// unless the mirror's byte cap dropped the oldest (differential-test
+    /// oracle and `CommitLog` frame).
     pub fn commit_log(&self) -> Result<Vec<String>, Busy> {
         let (resp, rx) = mpsc::sync_channel(1);
         self.try_submit(Job::CommitLog { resp })?;
@@ -876,22 +876,61 @@ struct WorkerState {
     replica_engines: HashMap<u8, Engine>,
 }
 
+/// Retention cap of the catch-up mirror, in bytes of retained units. A
+/// subscriber that falls further behind than this bootstraps from a
+/// snapshot, which is about what a backlog of this size would cost to
+/// ship anyway.
+const MIRROR_CAP_BYTES: usize = 16 << 20;
+
 /// Shipping bookkeeping shared between the builder and flusher stages.
 /// The flusher extends it as batches retire durable; the builder reads it
 /// for tail jobs only after draining the pipeline, so those reads observe
 /// a quiesced, batch-boundary state.
 struct ShipState {
-    /// Committed update-statement texts since process start, in commit
-    /// order (the differential-replay oracle).
-    commit_log: Vec<String>,
     /// Shipped units retained for subscriber catch-up: every committed
     /// unit with `seq > mirror_base`, in order. Seeded at startup from the
     /// WAL replay, so the retention window is "since the last checkpoint
-    /// before this process started".
-    mirror: Vec<ShippedUnit>,
+    /// before this process started", cut to the newest
+    /// [`MIRROR_CAP_BYTES`].
+    mirror: VecDeque<ShippedUnit>,
+    /// Bytes the retained units account for (see [`unit_bytes`]).
+    mirror_bytes: usize,
     /// Sequence the mirror starts after; a subscriber at or beyond this
     /// can catch up from the mirror, an older one needs a snapshot.
     mirror_base: u64,
+}
+
+/// What one retained unit counts against [`MIRROR_CAP_BYTES`].
+fn unit_bytes(unit: &ShippedUnit) -> usize {
+    unit.text.len() + std::mem::size_of::<ShippedUnit>()
+}
+
+impl ShipState {
+    /// An empty mirror whose first unit will be `base + 1`.
+    fn starting_after(base: u64) -> ShipState {
+        ShipState {
+            mirror: VecDeque::new(),
+            mirror_bytes: 0,
+            mirror_base: base,
+        }
+    }
+
+    /// Append durable units, then drop the oldest until the mirror fits
+    /// its cap again; a subscriber behind a dropped unit takes the
+    /// snapshot-bootstrap path.
+    fn keep(&mut self, units: impl IntoIterator<Item = ShippedUnit>) {
+        for unit in units {
+            self.mirror_bytes += unit_bytes(&unit);
+            self.mirror.push_back(unit);
+        }
+        while self.mirror_bytes > MIRROR_CAP_BYTES {
+            let Some(oldest) = self.mirror.pop_front() else {
+                break;
+            };
+            self.mirror_bytes -= unit_bytes(&oldest);
+            self.mirror_base = oldest.seq;
+        }
+    }
 }
 
 /// Everything the flush/ack stage needs, shared (behind one `Arc`) with
@@ -1074,7 +1113,8 @@ fn apply_worker(
                 let _ = resp.send(run_checkpoint(&mut state));
             }
             Job::CommitLog { resp } => {
-                let _ = resp.send(state.flush.ship().commit_log.clone());
+                let ship = state.flush.ship();
+                let _ = resp.send(ship.mirror.iter().map(|u| u.text.clone()).collect());
             }
             Job::Subscribe { label, from, resp } => {
                 let _ = resp.send(run_subscribe(&mut state, &label, from));
@@ -1300,12 +1340,7 @@ fn run_install_snapshot(state: &mut WorkerState, bytes: &[u8]) -> Result<u64, St
     // Reset rather than resync — subscribers observe the disconnect and
     // re-register against the new state.
     state.flush.views.reset();
-    {
-        let mut ship = state.flush.ship();
-        ship.mirror.clear();
-        ship.mirror_base = covered;
-        ship.commit_log.clear();
-    }
+    *state.flush.ship() = ShipState::starting_after(covered);
     state.flush.commit_seq.store(covered, Ordering::Release);
     state.primary_seen.fetch_max(covered, Ordering::AcqRel);
     state.flush.snaps.bump();
@@ -1416,21 +1451,17 @@ fn run_flush(ctx: &FlushCtx, batch: FlushBatch) -> std::io::Result<()> {
     let mut quorum_fail: Option<(usize, usize, u64)> = None;
     if !units.is_empty() {
         // New statement-boundary state: re-truth the published sequence,
-        // invalidate reader caches, extend the oracle log and the
-        // catch-up mirror, ship the (now durable) units to every
-        // subscriber. The epoch bumps *before* the acks go out, so an
-        // acknowledged writer's next read always misses the stale cache.
+        // invalidate reader caches, ship the (now durable) units to every
+        // subscriber and keep them in the catch-up mirror. The epoch bumps
+        // *before* the acks go out, so an acknowledged writer's next read
+        // always misses the stale cache.
         ctx.commit_seq.store(head_seq, Ordering::Release);
         ctx.snaps.bump();
-        {
-            let mut ship = ctx.ship();
-            ship.commit_log.extend(units.iter().map(|u| u.text.clone()));
-            ship.mirror.extend(units.iter().cloned());
-        }
         let dropped = ctx.hub.publish(&units);
         for label in dropped {
             eprintln!("cypher-serve: replica {label} dropped (feed backlog full)");
         }
+        ctx.ship().keep(units);
 
         // Quorum gate: the batch is locally durable and shipped; hold the
         // client acknowledgements until enough replicas confirmed their
@@ -1610,11 +1641,7 @@ mod tests {
                 sync_replicas: 0,
                 sync_timeout: Duration::from_secs(5),
                 sync_policy: SyncPolicy::Strict,
-                ship: Mutex::new(ShipState {
-                    commit_log: Vec::new(),
-                    mirror: Vec::new(),
-                    mirror_base: 0,
-                }),
+                ship: Mutex::new(ShipState::starting_after(0)),
             }),
             replica_engines: HashMap::new(),
         }
@@ -1789,7 +1816,7 @@ mod tests {
     /// A mid-batch WAL append failure rolls back every pending unit of the
     /// batch, so statements that executed *earlier* in the same batch must
     /// not be acknowledged as `Ok` — their units are gone. Every statement
-    /// of the batch reports a storage error and the commit log stays empty.
+    /// of the batch reports a storage error and the mirror stays empty.
     /// The worker reopens the store, so the in-memory graph rolls back to
     /// the durable horizon instead of running ahead of it.
     #[test]
@@ -1832,10 +1859,6 @@ mod tests {
             WriteOutcome::Storage(_) => {}
             other => panic!("{other:?}"),
         }
-        assert!(
-            state.flush.ship().commit_log.is_empty(),
-            "nothing durable, nothing logged"
-        );
         assert!(
             state.flush.ship().mirror.is_empty(),
             "nothing durable, nothing shipped"
@@ -2225,6 +2248,63 @@ mod tests {
         ));
         primary.shutdown();
         replica.shutdown();
+    }
+
+    /// Overflowing the mirror's byte cap drops its oldest units: a
+    /// subscriber behind the dropped ones bootstraps from a snapshot and
+    /// converges on the primary's graph, one inside the window still
+    /// catches up from the backlog.
+    #[test]
+    fn mirror_overflow_falls_back_to_snapshot_bootstrap() {
+        let primary = temp_store("cap-p", 16, 8, 8);
+        let engine = Engine::revised();
+        // Five units of a quarter of the cap each (statement text is what
+        // a unit retains, so padding is enough): only three fit.
+        let pad = " ".repeat(MIRROR_CAP_BYTES / 4);
+        for i in 1..=5 {
+            let text = format!("CREATE (:Pad {{id: {i}}}){pad}");
+            match primary.submit_write(text, engine.clone()).unwrap() {
+                WriteOutcome::Ok(_) => {}
+                other => panic!("{other:?}"),
+            }
+        }
+        assert_eq!(primary.commit_log().unwrap().len(), 3);
+
+        let recent = primary.subscribe("recent".into(), 2).unwrap().unwrap();
+        let SubscribeStart::Backlog(backlog) = recent.start else {
+            panic!("seq 2 is the retained window's base")
+        };
+        assert_eq!(
+            backlog.iter().map(|u| u.seq).collect::<Vec<_>>(),
+            vec![3, 4, 5]
+        );
+
+        let late = primary.subscribe("late".into(), 0).unwrap().unwrap();
+        let SubscribeStart::Snapshot { seq, bytes } = late.start else {
+            panic!("a from-zero subscriber is behind the capped mirror")
+        };
+        assert_eq!(seq, 5);
+        let replica = temp_store("cap-r", 16, 8, 8);
+        assert_eq!(replica.install_snapshot(bytes).unwrap().unwrap(), 5);
+        primary
+            .submit_write("CREATE (:Pad {id: 6})".into(), engine)
+            .unwrap();
+        let live = late.sub.rx.recv().unwrap();
+        assert_eq!(live.seq, 6);
+        assert!(matches!(
+            replica.replicate(live).unwrap(),
+            ReplicaApply::Applied
+        ));
+        let p = primary.snapshot().unwrap();
+        let r = replica.snapshot().unwrap();
+        assert_eq!(graph_to_cypher(&p), graph_to_cypher(&r));
+        primary.shutdown();
+        replica.shutdown();
+        // The padded WAL is tens of megabytes: do not leave it behind.
+        for name in ["cap-p", "cap-r"] {
+            let dir = format!("cypher-server-store-{name}-{}", std::process::id());
+            let _ = std::fs::remove_dir_all(std::env::temp_dir().join(dir));
+        }
     }
 
     /// Fencing flips the role durably: the store refuses writes with the

@@ -22,7 +22,7 @@
 //! | `0x06` | Goodbye     | C→S | — |
 //! | `0x07` | Shutdown    | C→S | — (admin; refused unless enabled) |
 //! | `0x08` | DumpGraph   | C→S | — (canonical `CREATE` script of the graph) |
-//! | `0x09` | CommitLog   | C→S | — (committed statements, in commit order) |
+//! | `0x09` | CommitLog   | C→S | — (the committed statements the catch-up mirror retains, in commit order) |
 //! | `0x0A` | Subscribe   | C→S | `u64` from-sequence (replica tailer; terminal — the session becomes a unit stream) |
 //! | `0x0B` | Promote     | C→S | — (admin; replica → primary failover) |
 //! | `0x0C` | Stats       | C→S | — (role, epoch, sequence, queue depth, per-replica lag) |

@@ -39,11 +39,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cypher_graph::PropertyGraph;
+use cypher_graph::{Delta, DeltaOp, PropertyGraph};
 
 use crate::error::StorageError;
 use crate::fs::{RealFs, StorageFs};
-use crate::record::Record;
 use crate::recover::{recover_with, SNAPSHOT_FILE, WAL_FILE};
 use crate::wal::{SyncTicket, Wal};
 
@@ -86,11 +85,11 @@ pub struct DurableGraph {
     /// `(txid, dialect, text)` statements recovered from the WAL, i.e. the
     /// still-shippable commit-log suffix since the last checkpoint.
     recovered_stmts: Vec<(u64, u8, String)>,
-    /// The delta of the most recent [`apply_buffered_logged`] call, stashed
-    /// just before the graph's own mirror is cleared so downstream
-    /// consumers (the incremental view maintainer) can take it. Empty when
-    /// the last statement was read-only or rolled back.
-    last_delta: Vec<cypher_graph::DeltaOp>,
+    /// The delta of the most recent [`apply_buffered_logged`] call, moved
+    /// out of the graph once logged so downstream consumers (the
+    /// incremental view maintainer) can take it. Empty when the last
+    /// statement was read-only or rolled back.
+    last_delta: Vec<DeltaOp>,
 }
 
 impl DurableGraph {
@@ -266,10 +265,10 @@ impl DurableGraph {
 
     /// [`apply_buffered`](DurableGraph::apply_buffered) with statement
     /// provenance: when `stmt` is `Some((dialect, text))` and the closure
-    /// produced a non-empty delta, a [`Record::Stmt`] carrying the source
-    /// statement is written as the unit's first record — same unit, same
-    /// single fsync at the next flush. Replication ships these recovered
-    /// statements; state replay skips them.
+    /// produced a non-empty delta, a [`Record::Stmt`](crate::Record::Stmt)
+    /// carrying the source statement is written as the unit's first record
+    /// — same unit, same single fsync at the next flush. Replication ships
+    /// these recovered statements; state replay skips them.
     ///
     /// Also reports the txid the unit was appended under (`None` when the
     /// delta was empty and nothing was logged) — the sequence number a
@@ -296,22 +295,11 @@ impl DurableGraph {
             )));
         }
         let mut logged = None;
-        if !self.graph.delta().is_empty() {
-            let mut records: Vec<Record> = Vec::with_capacity(self.graph.delta().len() + 1);
-            if let Some((dialect, text)) = stmt {
-                records.push(Record::Stmt {
-                    dialect,
-                    text: text.to_owned(),
-                });
-            }
-            records.extend(
-                self.graph
-                    .delta()
-                    .iter()
-                    .map(|op| Record::from_delta(op, &self.graph)),
-            );
+        let ops = self.graph.take_delta();
+        if !ops.is_empty() {
             let txid = self.next_txid;
-            if let Err(e) = self.wal.append_commit_unit_buffered(txid, &records) {
+            let unit = Delta::from_ops(&ops, &self.graph);
+            if let Err(e) = self.wal.append_commit_unit_buffered(txid, stmt, &unit) {
                 // Memory is ahead of the log — and the failed write rolled
                 // the file back to the durable horizon, discarding every
                 // pending unit of the batch with it. Seal: the snapshot
@@ -320,8 +308,7 @@ impl DurableGraph {
                 return Err(StorageError::Io(e));
             }
             self.next_txid += 1;
-            self.last_delta = self.graph.delta().to_vec();
-            self.graph.clear_delta();
+            self.last_delta = ops;
             logged = Some(txid);
         }
         Ok((out, logged))
@@ -333,7 +320,7 @@ impl DurableGraph {
     /// was already taken). The ops are in exact execution order — the same
     /// order the WAL logged them in — which is the replay contract the
     /// incremental view maintainer depends on (DESIGN.md §15).
-    pub fn take_last_delta(&mut self) -> Vec<cypher_graph::DeltaOp> {
+    pub fn take_last_delta(&mut self) -> Vec<DeltaOp> {
         std::mem::take(&mut self.last_delta)
     }
 
@@ -443,8 +430,8 @@ impl DurableGraph {
             return Err(StorageError::Io(e));
         }
         if self.sealed.take().is_some() {
-            // The snapshot folded in the delta the WAL refused earlier.
-            self.graph.clear_delta();
+            // The snapshot folded in whatever delta a panic left unlogged.
+            self.graph.take_delta();
         }
         Ok(())
     }

@@ -4,10 +4,12 @@
 //! in-memory [`PropertyGraph`](cypher_graph::PropertyGraph), following the
 //! classic snapshot + write-ahead-log design:
 //!
-//! * [`record`] — the logical mutation records (one per graph update) and
-//!   their length-prefixed, CRC-protected binary encoding. Records are
-//!   *logical*: they name labels, keys and types as strings, so a log written
-//!   by one process is replayable in another with a fresh interner.
+//! * [`record`] — the WAL records and their binary encoding: unit
+//!   boundaries, a unit's source statement, and one record per graph update
+//!   whose payload is `cypher-graph`'s [`Delta`](cypher_graph::Delta).
+//!   Records are *logical*: they name labels, keys and types as strings, so
+//!   a log written by one process is replayable in another with a fresh
+//!   interner.
 //! * [`fs`] — the [`StorageFs`] I/O abstraction: [`RealFs`] for production,
 //!   [`FaultFs`] for deterministic fault injection (fsync failures, short
 //!   writes, `ENOSPC`, rename failures at the N-th operation).
@@ -17,8 +19,9 @@
 //! * [`snapshot`] — full-graph serialization (interner, nodes, relationships,
 //!   tombstones, index schemas) written atomically via temp-file + rename.
 //! * [`recover`] — opening a directory: load the snapshot if present, then
-//!   replay only *committed* WAL units, discarding any torn or uncommitted
-//!   tail without being confused by byte-level corruption.
+//!   replay only *committed* WAL units through
+//!   [`apply_delta`](cypher_graph::apply_delta), discarding any torn or
+//!   uncommitted tail without being confused by byte-level corruption.
 //! * [`durable`] — [`DurableGraph`], the user-facing handle tying it all
 //!   together: run mutations, capture their delta, append to the WAL, seal
 //!   read-only when a commit unit fails ([`StorageError::Sealed`]), and

@@ -1,12 +1,14 @@
 //! Logical WAL records and their binary encoding.
 //!
-//! A record is one primitive graph mutation (or a transaction boundary
-//! marker). Records are *logical*: labels, relationship types and property
-//! keys are carried as strings, never as interner symbols, so a log written
-//! by one process replays correctly in another with a freshly-built
-//! interner. Entity ids, by contrast, are physical — recovery must
-//! reproduce them exactly, because committed query results may have exposed
-//! them (`id(n)`).
+//! A record is a transaction boundary marker, the source statement of a
+//! unit, or one primitive graph mutation. The mutation vocabulary is not
+//! defined here: a mutation record *is* a [`cypher_graph::Delta`] — labels,
+//! relationship types and property keys carried as strings, never as
+//! interner symbols, so a log written by one process replays correctly in
+//! another with a freshly-built interner. Entity ids, by contrast, are
+//! physical — recovery must reproduce them exactly, because committed query
+//! results may have exposed them (`id(n)`). This module owns only the byte
+//! layout.
 //!
 //! ## Wire format
 //!
@@ -21,6 +23,18 @@
 //! value          1 tag byte + body (see `encode_value`)
 //! props          u32 count + (string key, value) pairs
 //! labels         u32 count + strings
+//!
+//! 0x01 Begin        u64 txid
+//! 0x02 Commit       u64 txid
+//! 0x03 Stmt         u8 dialect, string text
+//! 0x10 CreateNode   u64 id, labels, props
+//! 0x11 CreateRel    u64 id, u64 src, u64 tgt, string type, props
+//! 0x12 DeleteNode   u64 id
+//! 0x13 DeleteRel    u64 id
+//! 0x14 AddLabel     u64 node, string label
+//! 0x15 RemoveLabel  u64 node, string label
+//! 0x16 SetProp      u8 kind (0 node, 1 rel), u64 id, string key,
+//!                   u8 present (0 removes the key), value if present
 //! ```
 //!
 //! Framing (length prefix + CRC) is the WAL's job, not the record's — see
@@ -28,21 +42,18 @@
 
 use std::io;
 
-use cypher_graph::{EntityRef, NodeId, RelId, Value};
+use cypher_graph::{Delta, EntityRef, NodeId, RelId, Value};
 
-/// One logical mutation record, or a transaction boundary.
+/// One WAL record: a transaction boundary, a unit's source statement, or
+/// one logical mutation.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Record {
     /// Start of a committed unit. `txid`s are strictly increasing within
     /// one log file.
-    Begin {
-        txid: u64,
-    },
+    Begin { txid: u64 },
     /// End of a committed unit. A unit whose `Commit` never made it to disk
     /// is discarded wholesale by recovery.
-    Commit {
-        txid: u64,
-    },
+    Commit { txid: u64 },
     /// The source statement that produced this unit, written by the server
     /// as the unit's first record. Replay for *state* skips it (the
     /// mutation records that follow are authoritative); replication and the
@@ -52,38 +63,8 @@ pub enum Record {
         dialect: u8,
         text: String,
     },
-    CreateNode {
-        id: u64,
-        labels: Vec<String>,
-        props: Vec<(String, Value)>,
-    },
-    CreateRel {
-        id: u64,
-        src: u64,
-        tgt: u64,
-        rel_type: String,
-        props: Vec<(String, Value)>,
-    },
-    DeleteNode {
-        id: u64,
-    },
-    DeleteRel {
-        id: u64,
-    },
-    AddLabel {
-        node: u64,
-        label: String,
-    },
-    RemoveLabel {
-        node: u64,
-        label: String,
-    },
-    SetProp {
-        entity: EntityRef,
-        key: String,
-        /// `None` removes the key.
-        value: Option<Value>,
-    },
+    /// One primitive graph mutation.
+    Op(Delta),
 }
 
 // Record tags. Gaps are deliberate headroom for future record kinds.
@@ -289,6 +270,78 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Append a [`Record::Stmt`] payload built from borrowed text.
+pub(crate) fn encode_stmt(buf: &mut Vec<u8>, dialect: u8, text: &str) {
+    buf.push(TAG_STMT);
+    buf.push(dialect);
+    put_str(buf, text);
+}
+
+/// Append a [`Record::Op`] payload.
+pub(crate) fn encode_op(buf: &mut Vec<u8>, op: &Delta) {
+    match op {
+        Delta::CreateNode { id, labels, props } => {
+            buf.push(TAG_CREATE_NODE);
+            put_u64(buf, *id);
+            put_strings(buf, labels);
+            put_props(buf, props);
+        }
+        Delta::CreateRel {
+            id,
+            src,
+            tgt,
+            rel_type,
+            props,
+        } => {
+            buf.push(TAG_CREATE_REL);
+            put_u64(buf, *id);
+            put_u64(buf, *src);
+            put_u64(buf, *tgt);
+            put_str(buf, rel_type);
+            put_props(buf, props);
+        }
+        Delta::DeleteNode { id } => {
+            buf.push(TAG_DELETE_NODE);
+            put_u64(buf, *id);
+        }
+        Delta::DeleteRel { id } => {
+            buf.push(TAG_DELETE_REL);
+            put_u64(buf, *id);
+        }
+        Delta::AddLabel { node, label } => {
+            buf.push(TAG_ADD_LABEL);
+            put_u64(buf, *node);
+            put_str(buf, label);
+        }
+        Delta::RemoveLabel { node, label } => {
+            buf.push(TAG_REMOVE_LABEL);
+            put_u64(buf, *node);
+            put_str(buf, label);
+        }
+        Delta::SetProp { entity, key, value } => {
+            buf.push(TAG_SET_PROP);
+            match entity {
+                EntityRef::Node(n) => {
+                    buf.push(0);
+                    put_u64(buf, n.0);
+                }
+                EntityRef::Rel(r) => {
+                    buf.push(1);
+                    put_u64(buf, r.0);
+                }
+            }
+            put_str(buf, key);
+            match value {
+                None => buf.push(0),
+                Some(v) => {
+                    buf.push(1);
+                    encode_value(buf, v);
+                }
+            }
+        }
+    }
+}
+
 impl Record {
     /// Append this record's payload (tag + fields, no framing) to `buf`.
     pub fn encode(&self, buf: &mut Vec<u8>) {
@@ -301,70 +354,8 @@ impl Record {
                 buf.push(TAG_COMMIT);
                 put_u64(buf, *txid);
             }
-            Record::Stmt { dialect, text } => {
-                buf.push(TAG_STMT);
-                buf.push(*dialect);
-                put_str(buf, text);
-            }
-            Record::CreateNode { id, labels, props } => {
-                buf.push(TAG_CREATE_NODE);
-                put_u64(buf, *id);
-                put_strings(buf, labels);
-                put_props(buf, props);
-            }
-            Record::CreateRel {
-                id,
-                src,
-                tgt,
-                rel_type,
-                props,
-            } => {
-                buf.push(TAG_CREATE_REL);
-                put_u64(buf, *id);
-                put_u64(buf, *src);
-                put_u64(buf, *tgt);
-                put_str(buf, rel_type);
-                put_props(buf, props);
-            }
-            Record::DeleteNode { id } => {
-                buf.push(TAG_DELETE_NODE);
-                put_u64(buf, *id);
-            }
-            Record::DeleteRel { id } => {
-                buf.push(TAG_DELETE_REL);
-                put_u64(buf, *id);
-            }
-            Record::AddLabel { node, label } => {
-                buf.push(TAG_ADD_LABEL);
-                put_u64(buf, *node);
-                put_str(buf, label);
-            }
-            Record::RemoveLabel { node, label } => {
-                buf.push(TAG_REMOVE_LABEL);
-                put_u64(buf, *node);
-                put_str(buf, label);
-            }
-            Record::SetProp { entity, key, value } => {
-                buf.push(TAG_SET_PROP);
-                match entity {
-                    EntityRef::Node(n) => {
-                        buf.push(0);
-                        put_u64(buf, n.0);
-                    }
-                    EntityRef::Rel(r) => {
-                        buf.push(1);
-                        put_u64(buf, r.0);
-                    }
-                }
-                put_str(buf, key);
-                match value {
-                    None => buf.push(0),
-                    Some(v) => {
-                        buf.push(1);
-                        encode_value(buf, v);
-                    }
-                }
-            }
+            Record::Stmt { dialect, text } => encode_stmt(buf, *dialect, text),
+            Record::Op(op) => encode_op(buf, op),
         }
     }
 
@@ -379,28 +370,28 @@ impl Record {
                 dialect: r.u8()?,
                 text: r.str()?,
             },
-            TAG_CREATE_NODE => Record::CreateNode {
+            TAG_CREATE_NODE => Record::Op(Delta::CreateNode {
                 id: r.u64()?,
                 labels: r.strings()?,
                 props: r.props()?,
-            },
-            TAG_CREATE_REL => Record::CreateRel {
+            }),
+            TAG_CREATE_REL => Record::Op(Delta::CreateRel {
                 id: r.u64()?,
                 src: r.u64()?,
                 tgt: r.u64()?,
                 rel_type: r.str()?,
                 props: r.props()?,
-            },
-            TAG_DELETE_NODE => Record::DeleteNode { id: r.u64()? },
-            TAG_DELETE_REL => Record::DeleteRel { id: r.u64()? },
-            TAG_ADD_LABEL => Record::AddLabel {
+            }),
+            TAG_DELETE_NODE => Record::Op(Delta::DeleteNode { id: r.u64()? }),
+            TAG_DELETE_REL => Record::Op(Delta::DeleteRel { id: r.u64()? }),
+            TAG_ADD_LABEL => Record::Op(Delta::AddLabel {
                 node: r.u64()?,
                 label: r.str()?,
-            },
-            TAG_REMOVE_LABEL => Record::RemoveLabel {
+            }),
+            TAG_REMOVE_LABEL => Record::Op(Delta::RemoveLabel {
                 node: r.u64()?,
                 label: r.str()?,
-            },
+            }),
             TAG_SET_PROP => {
                 let entity = match r.u8()? {
                     0 => EntityRef::Node(NodeId(r.u64()?)),
@@ -413,7 +404,7 @@ impl Record {
                     1 => Some(r.value()?),
                     b => return Err(corrupt(format!("invalid option byte {b:#x}"))),
                 };
-                Record::SetProp { entity, key, value }
+                Record::Op(Delta::SetProp { entity, key, value })
             }
             t => return Err(corrupt(format!("unknown record tag {t:#x}"))),
         };
@@ -421,48 +412,6 @@ impl Record {
             return Err(corrupt("trailing bytes after record"));
         }
         Ok(record)
-    }
-
-    /// Translate one captured [`DeltaOp`](cypher_graph::DeltaOp) into its
-    /// logical record, resolving symbols against the graph that produced it.
-    pub fn from_delta(op: &cypher_graph::DeltaOp, g: &cypher_graph::PropertyGraph) -> Record {
-        use cypher_graph::DeltaOp as D;
-        let s = |sym| g.sym_str(sym).to_owned();
-        match op {
-            D::CreateNode { id, labels, props } => Record::CreateNode {
-                id: id.0,
-                labels: labels.iter().map(|&l| s(l)).collect(),
-                props: props.iter().map(|(k, v)| (s(*k), v.clone())).collect(),
-            },
-            D::CreateRel {
-                id,
-                src,
-                tgt,
-                rel_type,
-                props,
-            } => Record::CreateRel {
-                id: id.0,
-                src: src.0,
-                tgt: tgt.0,
-                rel_type: s(*rel_type),
-                props: props.iter().map(|(k, v)| (s(*k), v.clone())).collect(),
-            },
-            D::DeleteRel { id } => Record::DeleteRel { id: id.0 },
-            D::DeleteNode { id } => Record::DeleteNode { id: id.0 },
-            D::AddLabel { node, label } => Record::AddLabel {
-                node: node.0,
-                label: s(*label),
-            },
-            D::RemoveLabel { node, label } => Record::RemoveLabel {
-                node: node.0,
-                label: s(*label),
-            },
-            D::SetProp { entity, key, value } => Record::SetProp {
-                entity: *entity,
-                key: s(*key),
-                value: value.clone(),
-            },
-        }
     }
 }
 
@@ -474,6 +423,14 @@ mod tests {
         let mut buf = Vec::new();
         r.encode(&mut buf);
         assert_eq!(Record::decode(&buf).unwrap(), r, "payload {buf:?}");
+    }
+
+    fn set_prop(entity: EntityRef, value: Option<Value>) -> Record {
+        Record::Op(Delta::SetProp {
+            entity,
+            key: "k".into(),
+            value,
+        })
     }
 
     #[test]
@@ -488,7 +445,7 @@ mod tests {
             dialect: 0,
             text: String::new(),
         });
-        round_trip(Record::CreateNode {
+        round_trip(Record::Op(Delta::CreateNode {
             id: 3,
             labels: vec!["User".into(), "Vendor".into()],
             props: vec![
@@ -501,50 +458,136 @@ mod tests {
                     Value::List(vec![Value::Str("a".into()), Value::Int(2)]),
                 ),
             ],
-        });
-        round_trip(Record::CreateRel {
+        }));
+        round_trip(Record::Op(Delta::CreateRel {
             id: 0,
             src: 1,
             tgt: 1,
             rel_type: "SELF".into(),
             props: vec![],
-        });
-        round_trip(Record::DeleteNode { id: 12 });
-        round_trip(Record::DeleteRel { id: 0 });
-        round_trip(Record::AddLabel {
+        }));
+        round_trip(Record::Op(Delta::DeleteNode { id: 12 }));
+        round_trip(Record::Op(Delta::DeleteRel { id: 0 }));
+        round_trip(Record::Op(Delta::AddLabel {
             node: 4,
             label: "Product".into(),
-        });
-        round_trip(Record::RemoveLabel {
+        }));
+        round_trip(Record::Op(Delta::RemoveLabel {
             node: 4,
             label: "".into(),
-        });
-        round_trip(Record::SetProp {
-            entity: EntityRef::Node(NodeId(9)),
-            key: "k".into(),
-            value: Some(Value::Float(f64::NEG_INFINITY)),
-        });
-        round_trip(Record::SetProp {
-            entity: EntityRef::Rel(RelId(2)),
-            key: "k".into(),
-            value: None,
-        });
+        }));
+        round_trip(set_prop(
+            EntityRef::Node(NodeId(9)),
+            Some(Value::Float(f64::NEG_INFINITY)),
+        ));
+        round_trip(set_prop(EntityRef::Rel(RelId(2)), None));
+    }
+
+    /// The on-disk format, pinned: one golden payload per record tag (and
+    /// per value tag, inside the `CreateNode`), decoded and re-encoded. A
+    /// data directory written by any earlier build must keep opening, so
+    /// these bytes may only ever change together with [`crate::wal::MAGIC`].
+    #[test]
+    fn golden_bytes_per_tag() {
+        let golden: [(&[u8], Record); 11] = [
+            (b"\x01\x07\0\0\0\0\0\0\0", Record::Begin { txid: 7 }),
+            (
+                b"\x02\x08\x07\x06\x05\x04\x03\x02\x01",
+                Record::Commit {
+                    txid: 0x0102_0304_0506_0708,
+                },
+            ),
+            (
+                b"\x03\x01\x08\0\0\0RETURN 1",
+                Record::Stmt {
+                    dialect: 1,
+                    text: "RETURN 1".into(),
+                },
+            ),
+            (
+                b"\x10\x03\0\0\0\0\0\0\0\
+                  \x01\0\0\0\x04\0\0\0User\
+                  \x05\0\0\0\
+                  \x02\0\0\0id\x02\xfe\xff\xff\xff\xff\xff\xff\xff\
+                  \x02\0\0\0ok\x01\x01\
+                  \x01\0\0\0f\x03\0\0\0\0\0\0\xf8\x3f\
+                  \x01\0\0\0s\x04\x02\0\0\0\xc3\xa9\
+                  \x01\0\0\0l\x05\x01\0\0\0\x01\0",
+                Record::Op(Delta::CreateNode {
+                    id: 3,
+                    labels: vec!["User".into()],
+                    props: vec![
+                        ("id".into(), Value::Int(-2)),
+                        ("ok".into(), Value::Bool(true)),
+                        ("f".into(), Value::Float(1.5)),
+                        ("s".into(), Value::Str("é".into())),
+                        ("l".into(), Value::List(vec![Value::Bool(false)])),
+                    ],
+                }),
+            ),
+            (
+                b"\x11\x01\0\0\0\0\0\0\0\x02\0\0\0\0\0\0\0\x03\0\0\0\0\0\0\0\
+                  \x01\0\0\0T\0\0\0\0",
+                Record::Op(Delta::CreateRel {
+                    id: 1,
+                    src: 2,
+                    tgt: 3,
+                    rel_type: "T".into(),
+                    props: vec![],
+                }),
+            ),
+            (
+                b"\x12\x0c\0\0\0\0\0\0\0",
+                Record::Op(Delta::DeleteNode { id: 12 }),
+            ),
+            (
+                b"\x13\0\0\0\0\0\0\0\0",
+                Record::Op(Delta::DeleteRel { id: 0 }),
+            ),
+            (
+                b"\x14\x04\0\0\0\0\0\0\0\x01\0\0\0P",
+                Record::Op(Delta::AddLabel {
+                    node: 4,
+                    label: "P".into(),
+                }),
+            ),
+            (
+                b"\x15\x04\0\0\0\0\0\0\0\0\0\0\0",
+                Record::Op(Delta::RemoveLabel {
+                    node: 4,
+                    label: String::new(),
+                }),
+            ),
+            (
+                b"\x16\0\x09\0\0\0\0\0\0\0\x01\0\0\0k\x01\x02\x01\0\0\0\0\0\0\0",
+                set_prop(EntityRef::Node(NodeId(9)), Some(Value::Int(1))),
+            ),
+            (
+                b"\x16\x01\x02\0\0\0\0\0\0\0\x01\0\0\0k\0",
+                set_prop(EntityRef::Rel(RelId(2)), None),
+            ),
+        ];
+        for (bytes, record) in golden {
+            assert_eq!(
+                Record::decode(bytes).unwrap(),
+                record,
+                "decode {bytes:02x?}"
+            );
+            let mut buf = Vec::new();
+            record.encode(&mut buf);
+            assert_eq!(buf, bytes, "encode {record:?}");
+        }
     }
 
     #[test]
     fn nan_survives_bit_exactly() {
         let mut buf = Vec::new();
-        Record::SetProp {
-            entity: EntityRef::Node(NodeId(0)),
-            key: "x".into(),
-            value: Some(Value::Float(f64::NAN)),
-        }
-        .encode(&mut buf);
+        set_prop(EntityRef::Node(NodeId(0)), Some(Value::Float(f64::NAN))).encode(&mut buf);
         match Record::decode(&buf).unwrap() {
-            Record::SetProp {
+            Record::Op(Delta::SetProp {
                 value: Some(Value::Float(f)),
                 ..
-            } => assert!(f.is_nan()),
+            }) => assert!(f.is_nan()),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -552,11 +595,11 @@ mod tests {
     #[test]
     fn truncated_payload_is_invalid_data_not_panic() {
         let mut buf = Vec::new();
-        Record::CreateNode {
+        Record::Op(Delta::CreateNode {
             id: 1,
             labels: vec!["User".into()],
             props: vec![("id".into(), Value::Int(5))],
-        }
+        })
         .encode(&mut buf);
         for cut in 0..buf.len() {
             let err = Record::decode(&buf[..cut]).unwrap_err();

@@ -13,16 +13,15 @@
 //! 4. report the commit horizon so the caller can truncate the torn tail
 //!    before appending.
 //!
-//! Replay drives the same primitive mutation APIs the live engine uses, so
-//! a replayed graph is bit-for-bit the committed graph — ids, adjacency
-//! order, tombstones and all.
+//! Replay is [`cypher_graph::apply_delta`], the one replay path every delta
+//! consumer shares: it drives the same primitive mutation APIs the live
+//! engine uses, so a replayed graph is bit-for-bit the committed graph —
+//! ids, adjacency order, tombstones and all.
 
 use std::io;
 use std::path::Path;
 
-use cypher_graph::{
-    DeleteNodeMode, EntityRef, NodeData, NodeId, PropertyGraph, RelData, RelId, Value,
-};
+use cypher_graph::{apply_delta, PropertyGraph};
 
 use crate::fs::{RealFs, StorageFs};
 use crate::record::Record;
@@ -91,17 +90,31 @@ pub fn recover_with(fs: &dyn StorageFs, dir: &Path) -> io::Result<Recovered> {
     let mut statements = Vec::new();
     if fs.exists(&wal_path) {
         let scan = wal::scan(fs, &wal_path)?;
-        for (txid, ops) in &scan.units {
-            if *txid <= covered_txid {
+        for (txid, records) in scan.units {
+            if txid <= covered_txid {
                 continue; // already folded into the snapshot
             }
-            replay_unit(&mut graph, *txid, ops)?;
-            for op in ops {
-                if let Record::Stmt { dialect, text } = op {
-                    statements.push((*txid, *dialect, text.clone()));
+            for record in records {
+                match record {
+                    // Statement provenance, not state: the mutation records
+                    // that follow are authoritative for replay.
+                    Record::Stmt { dialect, text } => statements.push((txid, dialect, text)),
+                    // Any failure is corruption: committed units replay
+                    // against exactly the state they were produced in, so a
+                    // mutation the graph rejects means the log and snapshot
+                    // disagree.
+                    Record::Op(op) => {
+                        apply_delta(&mut graph, &op)
+                            .map_err(|e| corrupt(format!("replaying txn {txid}: {e}")))?;
+                    }
+                    Record::Begin { .. } | Record::Commit { .. } => {
+                        return Err(corrupt(format!(
+                            "replaying txn {txid}: boundary marker inside a unit"
+                        )));
+                    }
                 }
             }
-            last_txid = *txid;
+            last_txid = txid;
             replayed += 1;
         }
         wal_committed_len = Some(scan.committed_len);
@@ -119,95 +132,4 @@ pub fn recover_with(fs: &dyn StorageFs, dir: &Path) -> io::Result<Recovered> {
         covered_txid,
         statements,
     })
-}
-
-/// Apply one committed unit. Any failure is corruption: committed units
-/// replay against exactly the state they were produced in, so a mutation
-/// the graph rejects means the log and snapshot disagree.
-fn replay_unit(g: &mut PropertyGraph, txid: u64, ops: &[Record]) -> io::Result<()> {
-    for op in ops {
-        apply(g, op).map_err(|e| corrupt(format!("replaying txn {txid}: {e}")))?;
-    }
-    Ok(())
-}
-
-fn apply(g: &mut PropertyGraph, op: &Record) -> Result<(), String> {
-    match op {
-        Record::Begin { .. } | Record::Commit { .. } => {
-            return Err("boundary marker inside a unit".into())
-        }
-        // Statement provenance, not state: the mutation records that follow
-        // are authoritative for replay.
-        Record::Stmt { .. } => {}
-        Record::CreateNode { id, labels, props } => {
-            if g.contains_node(NodeId(*id)) {
-                return Err(format!("node {id} already exists"));
-            }
-            let mut data = NodeData::default();
-            for l in labels {
-                let s = g.sym(l);
-                data.labels.insert(s);
-            }
-            for (k, v) in props {
-                let s = g.sym(k);
-                data.props.insert(s, v.clone());
-            }
-            g.restore_node(NodeId(*id), data);
-        }
-        Record::CreateRel {
-            id,
-            src,
-            tgt,
-            rel_type,
-            props,
-        } => {
-            if g.contains_rel(RelId(*id)) {
-                return Err(format!("relationship {id} already exists"));
-            }
-            let rel_type = g.sym(rel_type);
-            let mut map = cypher_graph::PropertyMap::new();
-            for (k, v) in props {
-                let s = g.sym(k);
-                map.insert(s, v.clone());
-            }
-            g.restore_rel(
-                RelId(*id),
-                RelData {
-                    src: NodeId(*src),
-                    tgt: NodeId(*tgt),
-                    rel_type,
-                    props: map,
-                },
-            )
-            .map_err(|e| e.to_string())?;
-        }
-        Record::DeleteNode { id } => {
-            // Force reproduces legacy mid-statement deletes; for a revised
-            // log the node has no attached rels here anyway.
-            g.delete_node(NodeId(*id), DeleteNodeMode::Force)
-                .map_err(|e| e.to_string())?;
-        }
-        Record::DeleteRel { id } => {
-            g.delete_rel(RelId(*id)).map_err(|e| e.to_string())?;
-        }
-        Record::AddLabel { node, label } => {
-            let l = g.sym(label);
-            g.add_label(NodeId(*node), l).map_err(|e| e.to_string())?;
-        }
-        Record::RemoveLabel { node, label } => {
-            let l = g.sym(label);
-            g.remove_label(NodeId(*node), l)
-                .map_err(|e| e.to_string())?;
-        }
-        Record::SetProp { entity, key, value } => {
-            let k = g.sym(key);
-            let v = value.clone().unwrap_or(Value::Null);
-            let entity = match entity {
-                EntityRef::Node(n) => EntityRef::Node(*n),
-                EntityRef::Rel(r) => EntityRef::Rel(*r),
-            };
-            g.set_prop(entity, k, v).map_err(|e| e.to_string())?;
-        }
-    }
-    Ok(())
 }

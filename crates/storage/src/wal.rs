@@ -8,9 +8,9 @@
 //! ```
 //!
 //! `len` is the payload length, `crc` its CRC-32. Each committed unit is a
-//! frame sequence `Begin{txid}, op*, Commit{txid}`, written with a **single**
-//! `write` call followed by one `fsync`; the commit only counts once the
-//! `Commit` frame is fully on disk.
+//! frame sequence `Begin{txid}, Stmt?, op*, Commit{txid}`, written with a
+//! **single** `write` call followed by one `fsync`; the commit only counts
+//! once the `Commit` frame is fully on disk.
 //!
 //! ## Torn-tail discipline
 //!
@@ -38,9 +38,11 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
+use cypher_graph::Delta;
+
 use crate::crc::crc32;
 use crate::fs::{StorageFile, StorageFs, SyncHandle};
-use crate::record::{arr, Record};
+use crate::record::{arr, encode_op, encode_stmt, Record};
 
 /// Magic + version. Bump the digit when the frame or record format changes.
 pub const MAGIC: &[u8; 8] = b"CYWALv1\n";
@@ -140,16 +142,22 @@ impl Wal {
         self.durable_len
     }
 
-    /// Append one committed unit — `Begin{txid}`, the given operation
-    /// records, `Commit{txid}` — as a single write, then fsync.
+    /// Append one committed unit — `Begin{txid}`, the source statement if
+    /// given, the mutation records, `Commit{txid}` — as a single write,
+    /// then fsync.
     ///
     /// On success the unit is durable and `durable_len` advances past it: a
     /// crash at any later point replays it in full. On error the in-memory
     /// horizon does **not** move; whatever partial bytes made it out are
     /// truncated away (best-effort here, and again by the next
     /// [`scan`]/[`open_append`] pair if the truncation itself fails).
-    pub fn append_commit_unit(&mut self, txid: u64, ops: &[Record]) -> io::Result<()> {
-        self.append_commit_unit_buffered(txid, ops)?;
+    pub fn append_commit_unit(
+        &mut self,
+        txid: u64,
+        stmt: Option<(u8, &str)>,
+        ops: &[Delta],
+    ) -> io::Result<()> {
+        self.append_commit_unit_buffered(txid, stmt, ops)?;
         self.sync()
     }
 
@@ -162,15 +170,24 @@ impl Wal {
     /// which discards **every** pending unit of the current batch, not just
     /// this one — the caller (the durable layer) must treat the whole batch
     /// as unlogged.
-    pub fn append_commit_unit_buffered(&mut self, txid: u64, ops: &[Record]) -> io::Result<()> {
+    pub fn append_commit_unit_buffered(
+        &mut self,
+        txid: u64,
+        stmt: Option<(u8, &str)>,
+        ops: &[Delta],
+    ) -> io::Result<()> {
         let mut unit = Vec::with_capacity(64 + ops.len() * 32);
         let mut payload = Vec::with_capacity(64);
         Record::Begin { txid }.encode(&mut payload);
         put_frame(&mut unit, &payload);
-        for op in ops {
-            debug_assert!(!matches!(op, Record::Begin { .. } | Record::Commit { .. }));
+        if let Some((dialect, text)) = stmt {
             payload.clear();
-            op.encode(&mut payload);
+            encode_stmt(&mut payload, dialect, text);
+            put_frame(&mut unit, &payload);
+        }
+        for op in ops {
+            payload.clear();
+            encode_op(&mut payload, op);
             put_frame(&mut unit, &payload);
         }
         payload.clear();
@@ -422,18 +439,23 @@ mod tests {
         dir
     }
 
-    fn ops() -> Vec<Record> {
+    fn ops() -> Vec<Delta> {
         vec![
-            Record::CreateNode {
+            Delta::CreateNode {
                 id: 0,
                 labels: vec!["User".into()],
                 props: vec![("id".into(), Value::Int(89))],
             },
-            Record::AddLabel {
+            Delta::AddLabel {
                 node: 0,
                 label: "Vendor".into(),
             },
         ]
+    }
+
+    /// What a scan reports for a unit appended from `ops`.
+    fn records(ops: &[Delta]) -> Vec<Record> {
+        ops.iter().cloned().map(Record::Op).collect()
     }
 
     #[test]
@@ -441,14 +463,24 @@ mod tests {
         let dir = tmpdir("roundtrip");
         let path = dir.join("wal.bin");
         let mut wal = Wal::create(&RealFs, &path).unwrap();
-        wal.append_commit_unit(1, &ops()).unwrap();
-        wal.append_commit_unit(2, &[Record::DeleteNode { id: 0 }])
-            .unwrap();
+        wal.append_commit_unit(1, None, &ops()).unwrap();
+        // A unit's source statement rides as its first record.
+        wal.append_commit_unit(
+            2,
+            Some((1, "MATCH (n) DELETE n")),
+            &[Delta::DeleteNode { id: 0 }],
+        )
+        .unwrap();
         let scan = scan(&RealFs, &path).unwrap();
         assert!(scan.torn.is_none());
         assert_eq!(scan.units.len(), 2);
-        assert_eq!(scan.units[0], (1, ops()));
-        assert_eq!(scan.units[1].0, 2);
+        assert_eq!(scan.units[0], (1, records(&ops())));
+        let stmt = Record::Stmt {
+            dialect: 1,
+            text: "MATCH (n) DELETE n".into(),
+        };
+        let delete = Record::Op(Delta::DeleteNode { id: 0 });
+        assert_eq!(scan.units[1], (2, vec![stmt, delete]));
         assert_eq!(scan.committed_len, wal.len().unwrap());
         assert_eq!(scan.committed_len, wal.durable_len());
         std::fs::remove_dir_all(dir).unwrap();
@@ -459,9 +491,9 @@ mod tests {
         let dir = tmpdir("trunc");
         let path = dir.join("wal.bin");
         let mut wal = Wal::create(&RealFs, &path).unwrap();
-        wal.append_commit_unit(1, &ops()).unwrap();
+        wal.append_commit_unit(1, None, &ops()).unwrap();
         let after_first = wal.len().unwrap();
-        wal.append_commit_unit(2, &[Record::DeleteNode { id: 0 }])
+        wal.append_commit_unit(2, None, &[Delta::DeleteNode { id: 0 }])
             .unwrap();
         let full = std::fs::read(&path).unwrap();
         drop(wal);
@@ -494,9 +526,9 @@ mod tests {
         let dir = tmpdir("bitflip");
         let path = dir.join("wal.bin");
         let mut wal = Wal::create(&RealFs, &path).unwrap();
-        wal.append_commit_unit(1, &ops()).unwrap();
+        wal.append_commit_unit(1, None, &ops()).unwrap();
         let after_first = wal.len().unwrap();
-        wal.append_commit_unit(2, &[Record::DeleteNode { id: 0 }])
+        wal.append_commit_unit(2, None, &[Delta::DeleteNode { id: 0 }])
             .unwrap();
         drop(wal);
         let mut bytes = std::fs::read(&path).unwrap();
@@ -515,7 +547,7 @@ mod tests {
         let dir = tmpdir("reopen");
         let path = dir.join("wal.bin");
         let mut wal = Wal::create(&RealFs, &path).unwrap();
-        wal.append_commit_unit(1, &ops()).unwrap();
+        wal.append_commit_unit(1, None, &ops()).unwrap();
         let committed = wal.len().unwrap();
         drop(wal);
         // Simulate a crash mid-append: garbage after the commit horizon.
@@ -527,7 +559,7 @@ mod tests {
         assert_eq!(s.committed_len, committed);
         let mut wal = Wal::open_append(&RealFs, &path, s.committed_len).unwrap();
         assert_eq!(wal.len().unwrap(), committed);
-        wal.append_commit_unit(2, &[Record::DeleteNode { id: 0 }])
+        wal.append_commit_unit(2, None, &[Delta::DeleteNode { id: 0 }])
             .unwrap();
         let s = scan(&RealFs, &path).unwrap();
         assert!(s.torn.is_none());
@@ -545,7 +577,7 @@ mod tests {
         assert_eq!(s.committed_len, 0);
         assert!(s.torn.unwrap().contains("torn header"));
         let mut wal = Wal::open_append(&RealFs, &path, 0).unwrap();
-        wal.append_commit_unit(1, &ops()).unwrap();
+        wal.append_commit_unit(1, None, &ops()).unwrap();
         let s = scan(&RealFs, &path).unwrap();
         assert_eq!(s.units.len(), 1);
         std::fs::remove_dir_all(dir).unwrap();
@@ -581,7 +613,7 @@ mod tests {
         let fs = fault.arc();
         let mut wal = Wal::create(fs.as_ref(), &path).unwrap();
         let before = wal.durable_len();
-        let err = wal.append_commit_unit(1, &ops()).unwrap_err();
+        let err = wal.append_commit_unit(1, None, &ops()).unwrap_err();
         assert!(err.to_string().contains("injected fault"));
         assert!(fault.triggered());
         assert_eq!(wal.durable_len(), before, "horizon must not move");
@@ -590,11 +622,11 @@ mod tests {
         // The handle is still usable at the storage level (the durable
         // layer seals above; the WAL itself reconciled): a retried append
         // lands exactly at the durable horizon.
-        wal.append_commit_unit(1, &ops()).unwrap();
+        wal.append_commit_unit(1, None, &ops()).unwrap();
         let s = scan(&RealFs, &path).unwrap();
         assert!(s.torn.is_none());
         assert_eq!(s.units.len(), 1);
-        assert_eq!(s.units[0], (1, ops()));
+        assert_eq!(s.units[0], (1, records(&ops())));
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -608,8 +640,8 @@ mod tests {
         let mut wal = Wal::create(fs.as_ref(), &path).unwrap();
         let syncs_after_create = counting.ops_of(OpKind::Sync);
         let before = wal.durable_len();
-        wal.append_commit_unit_buffered(1, &ops()).unwrap();
-        wal.append_commit_unit_buffered(2, &[Record::DeleteNode { id: 0 }])
+        wal.append_commit_unit_buffered(1, None, &ops()).unwrap();
+        wal.append_commit_unit_buffered(2, None, &[Delta::DeleteNode { id: 0 }])
             .unwrap();
         assert_eq!(wal.durable_len(), before, "horizon waits for the sync");
         assert!(wal.pending() > 0);
@@ -636,8 +668,8 @@ mod tests {
         let fault = FaultFs::fail_on(OpKind::Sync, 1, FaultKind::SyncFailure);
         let fs = fault.arc();
         let mut wal = Wal::create(fs.as_ref(), &path).unwrap();
-        wal.append_commit_unit_buffered(1, &ops()).unwrap();
-        wal.append_commit_unit_buffered(2, &[Record::DeleteNode { id: 0 }])
+        wal.append_commit_unit_buffered(1, None, &ops()).unwrap();
+        wal.append_commit_unit_buffered(2, None, &[Delta::DeleteNode { id: 0 }])
             .unwrap();
         wal.sync().unwrap_err();
         assert_eq!(wal.pending(), 0);
@@ -656,14 +688,14 @@ mod tests {
         let dir = tmpdir("stagedoverlap");
         let path = dir.join("wal.bin");
         let mut wal = Wal::create(&RealFs, &path).unwrap();
-        wal.append_commit_unit_buffered(1, &ops()).unwrap();
+        wal.append_commit_unit_buffered(1, None, &ops()).unwrap();
         let batch_n = wal.pending();
         let mut ticket = wal.stage_sync().unwrap();
         assert_eq!(wal.pending(), 0);
         assert_eq!(wal.inflight(), batch_n);
 
         // Batch N+1 lands in a fresh pending window while N is in flight.
-        wal.append_commit_unit_buffered(2, &[Record::DeleteNode { id: 0 }])
+        wal.append_commit_unit_buffered(2, None, &[Delta::DeleteNode { id: 0 }])
             .unwrap();
         assert!(wal.pending() > 0);
 
@@ -690,9 +722,9 @@ mod tests {
         let fault = FaultFs::fail_on(OpKind::Sync, 1, FaultKind::SyncFailure);
         let fs = fault.arc();
         let mut wal = Wal::create(fs.as_ref(), &path).unwrap();
-        wal.append_commit_unit_buffered(1, &ops()).unwrap();
+        wal.append_commit_unit_buffered(1, None, &ops()).unwrap();
         let mut ticket = wal.stage_sync().unwrap();
-        wal.append_commit_unit_buffered(2, &[Record::DeleteNode { id: 0 }])
+        wal.append_commit_unit_buffered(2, None, &[Delta::DeleteNode { id: 0 }])
             .unwrap();
         let outcome = ticket.sync();
         assert!(outcome.is_err());
@@ -718,10 +750,10 @@ mod tests {
         let fault = FaultFs::fail_on(OpKind::Write, 2, FaultKind::ShortWrite);
         let fs = fault.arc();
         let mut wal = Wal::create(fs.as_ref(), &path).unwrap();
-        wal.append_commit_unit_buffered(1, &ops()).unwrap();
+        wal.append_commit_unit_buffered(1, None, &ops()).unwrap();
         let batch_n = wal.pending();
         let mut ticket = wal.stage_sync().unwrap();
-        wal.append_commit_unit_buffered(2, &[Record::DeleteNode { id: 0 }])
+        wal.append_commit_unit_buffered(2, None, &[Delta::DeleteNode { id: 0 }])
             .unwrap_err();
         assert_eq!(wal.inflight(), batch_n, "staged window untouched");
         assert_eq!(wal.len().unwrap(), MAGIC.len() as u64 + batch_n);
@@ -730,7 +762,7 @@ mod tests {
         assert_eq!(wal.durable_len(), MAGIC.len() as u64 + batch_n);
         let s = scan(&RealFs, &path).unwrap();
         assert_eq!(s.units.len(), 1, "batch N is durable, N+1 discarded");
-        assert_eq!(s.units[0], (1, ops()));
+        assert_eq!(s.units[0], (1, records(&ops())));
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -757,7 +789,7 @@ mod tests {
         let fault = FaultFs::fail_on(OpKind::Write, 1, FaultKind::ShortWrite);
         let fs = fault.arc();
         let mut wal = Wal::create(fs.as_ref(), &path).unwrap();
-        wal.append_commit_unit(1, &ops()).unwrap_err();
+        wal.append_commit_unit(1, None, &ops()).unwrap_err();
         assert_eq!(wal.durable_len(), MAGIC.len() as u64);
         assert_eq!(wal.len().unwrap(), MAGIC.len() as u64);
         let s = scan(&RealFs, &path).unwrap();

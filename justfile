@@ -16,36 +16,20 @@ torture:
 guards:
     cargo test -q --offline --test exec_guard_props
 
-# Planner performance harness: full run over the ≥10k-node marketplace,
-# asserts the ≥5x W1 speedup and rewrites BENCH_3.json.
-bench:
-    cargo run -p cypher-bench --bin bench --release --offline -q
+# The benchmark (BENCHMARK.json, perfbench/README.md): every workload once,
+# end-to-end metrics only; add `--trace` for the per-layer breakdown.
+perf:
+    cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- run --all
 
-# Fast smoke mode of the harness (tiny graph, assertions only, no JSON).
-bench-check:
-    cargo run -p cypher-bench --bin bench --offline -q -- --check
-
-# Parallel-execution sweep: read scaling curves (graph sizes × read
-# worker counts, every run byte-identical to serial) plus pipelined
-# write throughput vs the BENCH_5 baseline; rewrites BENCH_8.json.
-bench-sweep:
-    cargo run -p cypher-bench --bin bench --release --offline -q -- --sweep
-
-# Fast smoke mode of the sweep (tiny graph, identity assertions, no JSON).
-bench-sweep-check:
-    cargo run -p cypher-bench --bin bench --offline -q -- --sweep --check
+# Fast smoke mode of the benchmark (tiny graphs, every validator).
+perf-check:
+    cargo run --offline -q --manifest-path perfbench/Cargo.toml -- run --check
 
 # Serve a durable graph over the wire protocol (Ctrl-C to stop, or pass
 # --allow-shutdown and send a Shutdown frame from cypher-client).
 serve data="./graphdb" addr="127.0.0.1:7878":
     cargo run -p cypher-server --bin cypher-serve --release --offline -q -- \
         --data {{data}} --addr {{addr}} --allow-shutdown
-
-# Load-test a running server: N statements per session over T concurrent
-# sessions, writing throughput/latency percentiles to BENCH_5.json.
-loadtest addr="127.0.0.1:7878" n="500" threads="8":
-    cargo run -p cypher-server --bin cypher-client --release --offline -q -- \
-        --addr {{addr}} --load {{n}} --threads {{threads}} --out BENCH_5.json
 
 # Serve a read replica tailing a running primary: catches up (backlog or
 # snapshot bootstrap), applies the live stream, answers reads wait-free
@@ -55,14 +39,6 @@ replicate primary="127.0.0.1:7878" data="./replicadb" addr="127.0.0.1:7879":
     cargo run -p cypher-server --bin cypher-serve --release --offline -q -- \
         --data {{data}} --addr {{addr}} --replica-of {{primary}} --allow-admin
 
-# Replication load test against a running primary+replica pair: writes to
-# the primary, reads against the replica, maximum replication lag and
-# convergence time recorded to BENCH_6.json.
-loadtest-replica addr="127.0.0.1:7878" read="127.0.0.1:7879" n="500" threads="8":
-    cargo run -p cypher-server --bin cypher-client --release --offline -q -- \
-        --addr {{addr}} --read-addr {{read}} --load {{n}} --threads {{threads}} \
-        --out BENCH_6.json
-
 # Subscribe to a live view on a running server: stream row-level
 # add/remove deltas for the query after every committed statement
 # (Ctrl-C to stop; add --deltas N to exit after N batches, --watch for
@@ -70,12 +46,6 @@ loadtest-replica addr="127.0.0.1:7878" read="127.0.0.1:7879" n="500" threads="8"
 subscribe query="MATCH (n) RETURN count(*)" addr="127.0.0.1:7878":
     cargo run -p cypher-server --bin cypher-client --release --offline -q -- \
         --addr {{addr}} --subscribe-query "{{query}}" --watch
-
-# Notification-latency + maintenance-cost benchmark: views at 1/16/128
-# over the 10k marketplace graph under a write stream; rewrites
-# BENCH_10.json.
-bench-views:
-    cargo run -p cypher-bench --bin bench --release --offline -q -- --views
 
 # Quorum pair: a primary that withholds client acks until 1 replica has
 # durably applied each write (`just serve-sync`), and a replica with a
@@ -90,13 +60,6 @@ replicate-sync primary="127.0.0.1:7878" data="./replicadb" addr="127.0.0.1:7879"
     cargo run -p cypher-server --bin cypher-serve --release --offline -q -- \
         --data {{data}} --addr {{addr}} --replica-of {{primary}} --allow-admin \
         --lease-ms 3000
-
-# The replica-pair load test re-run under quorum acknowledgement, so the
-# durable-ack round trip's latency cost is measured against BENCH_6.
-loadtest-quorum addr="127.0.0.1:7878" read="127.0.0.1:7879" n="500" threads="8":
-    cargo run -p cypher-server --bin cypher-client --release --offline -q -- \
-        --addr {{addr}} --read-addr {{read}} --load {{n}} --threads {{threads}} \
-        --label quorum_load --out BENCH_7.json
 
 # Scoped lint: the storage crate bans unwrap()/expect() outside tests.
 clippy-storage:

@@ -44,14 +44,10 @@ run "torture" cargo test -q --offline --test storage_torture
 # Bench crate is excluded from default-members; make sure it still compiles.
 run "build (workspace incl. bench)" cargo build --workspace --offline
 
-# Planner bench smoke: tiny graph, asserts the planner picks the index
-# probe and agrees byte-for-byte with force_naive (full run: `just bench`).
-run "bench smoke" cargo run -p cypher-bench --bin bench --offline -q -- --check
-
-# Parallel-read smoke: one small sweep asserting the morsel-driven
-# executor's output is byte-identical to serial, plus a quick pipelined
-# write load through an in-process server (full run: `just bench-sweep`).
-run "sweep smoke" cargo run -p cypher-bench --bin bench --offline -q -- --sweep --check
+# Benchmark smoke: every perfbench workload on a tiny graph with all of its
+# validators (dump equality after restart, view replay == fresh evaluation,
+# replica convergence); full runs: `just perf`, see perfbench/README.md.
+run "perfbench smoke" cargo run --offline -q --manifest-path perfbench/Cargo.toml -- run --check
 
 # Static-analysis self-check: every shipped .cypher example must lint
 # clean (warnings allowed, error-severity diagnostics fail the build).
@@ -287,7 +283,7 @@ run "quorum round trip" quorum_roundtrip
 # writer commits statements (create / update / create), and the
 # subscriber's replayed rows at exit must be byte-identical to a fresh
 # evaluation of the same query — the differential contract of
-# DESIGN.md Â§15, end to end over real sockets.
+# DESIGN.md §15, end to end over real sockets.
 live_view_roundtrip() {
     work=$(mktemp -d) || return 1
     cargo build -q --offline -p cypher-server || return 1
