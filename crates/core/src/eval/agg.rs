@@ -5,6 +5,8 @@
 //! `DISTINCT` deduplicates by value *equivalence* (`null ≡ null`,
 //! `NaN ≡ NaN`) — the same relation grouping uses.
 
+use std::collections::BTreeSet;
+
 use cypher_graph::Value;
 
 use crate::error::{EvalError, Result};
@@ -43,8 +45,8 @@ impl AggKind {
 pub struct Aggregator {
     kind: AggKind,
     distinct: bool,
-    /// Values seen so far when `distinct` (linear scan by equivalence).
-    seen: Vec<Value>,
+    /// Values seen so far when `distinct`.
+    seen: BTreeSet<Value>,
     count: i64,
     sum_int: i64,
     sum_float: f64,
@@ -62,7 +64,7 @@ impl Aggregator {
         Aggregator {
             kind,
             distinct,
-            seen: Vec::new(),
+            seen: BTreeSet::new(),
             count: 0,
             sum_int: 0,
             sum_float: 0.0,
@@ -80,11 +82,8 @@ impl Aggregator {
         if self.kind != AggKind::CountStar && v.is_null() {
             return;
         }
-        if self.distinct {
-            if self.seen.iter().any(|s| s.equivalent(&v)) {
-                return;
-            }
-            self.seen.push(v.clone());
+        if self.distinct && !self.seen.insert(v.clone()) {
+            return;
         }
         self.count += 1;
         match self.kind {

@@ -260,24 +260,6 @@ fn encode_props(props: &[(String, Value)]) -> Value {
     )
 }
 
-/// Total-order wrapper for `Value` keys.
-#[derive(Clone, Debug, PartialEq)]
-struct VKey(Value);
-
-impl Eq for VKey {}
-
-impl PartialOrd for VKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for VKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.global_cmp(&other.0)
-    }
-}
-
 fn merge_atomic_family(
     ctx: &mut ExecCtx,
     policy: MergePolicy,
@@ -300,7 +282,7 @@ fn merge_atomic_family(
     // Group index per failing record; groups hold the blueprint and the
     // records bound to it.
     let mut groups: Vec<Blueprint> = Vec::new();
-    let mut group_index: BTreeMap<VKey, usize> = BTreeMap::new();
+    let mut group_index: BTreeMap<Value, usize> = BTreeMap::new();
     // record index → group index (only for failing records).
     let mut record_group: BTreeMap<usize, usize> = BTreeMap::new();
     for (i, rec) in input.rows.iter().enumerate() {
@@ -309,20 +291,13 @@ fn merge_atomic_family(
         }
         let bp = build_blueprint(ctx, rec, patterns)?;
         let gi = if policy.groups() {
-            let key = VKey(bp.grouping_key());
-            match group_index.get(&key) {
-                Some(&gi) => gi,
-                None => {
-                    let gi = groups.len();
-                    groups.push(bp);
-                    group_index.insert(key, gi);
-                    gi
-                }
-            }
+            *group_index.entry(bp.grouping_key()).or_insert_with(|| {
+                groups.push(bp);
+                groups.len() - 1
+            })
         } else {
-            let gi = groups.len();
             groups.push(bp);
-            gi
+            groups.len() - 1
         };
         record_group.insert(i, gi);
     }
@@ -338,7 +313,7 @@ fn merge_atomic_family(
 
     let mut node_class_of: BTreeMap<(usize, usize), usize> = BTreeMap::new();
     let mut node_classes: Vec<(usize, usize)> = Vec::new(); // representative (group, slot)
-    let mut node_class_index: BTreeMap<VKey, usize> = BTreeMap::new();
+    let mut node_class_index: BTreeMap<Value, usize> = BTreeMap::new();
     for (gi, bp) in groups.iter().enumerate() {
         for (si, node) in bp.nodes.iter().enumerate() {
             let BpNode::New {
@@ -357,23 +332,16 @@ fn merge_atomic_family(
                 if positional {
                     parts.push(Value::Int(*position as i64));
                 }
-                VKey(Value::List(parts))
+                Value::List(parts)
             });
+            let mut new_class = || {
+                node_classes.push((gi, si));
+                node_classes.len() - 1
+            };
             let class = match class_key {
                 // No collapsing: every pending node is its own class.
-                None => {
-                    node_classes.push((gi, si));
-                    node_classes.len() - 1
-                }
-                Some(key) => match node_class_index.get(&key) {
-                    Some(&c) => c,
-                    None => {
-                        node_classes.push((gi, si));
-                        let c = node_classes.len() - 1;
-                        node_class_index.insert(key, c);
-                        c
-                    }
-                },
+                None => new_class(),
+                Some(key) => *node_class_index.entry(key).or_insert_with(new_class),
             };
             node_class_of.insert((gi, si), class);
         }
@@ -389,7 +357,7 @@ fn merge_atomic_family(
     // Relationship classes.
     let mut rel_class_of: BTreeMap<(usize, usize), usize> = BTreeMap::new();
     let mut rel_classes: Vec<(usize, usize)> = Vec::new();
-    let mut rel_class_index: BTreeMap<VKey, usize> = BTreeMap::new();
+    let mut rel_class_index: BTreeMap<Value, usize> = BTreeMap::new();
     for (gi, bp) in groups.iter().enumerate() {
         for (ri, rel) in bp.rels.iter().enumerate() {
             let class = match policy.rel_positional() {
@@ -415,16 +383,12 @@ fn merge_atomic_family(
                     if positional {
                         parts.push(Value::Int(rel.position as i64));
                     }
-                    let key = VKey(Value::List(parts));
-                    match rel_class_index.get(&key) {
-                        Some(&c) => c,
-                        None => {
+                    *rel_class_index
+                        .entry(Value::List(parts))
+                        .or_insert_with(|| {
                             rel_classes.push((gi, ri));
-                            let c = rel_classes.len() - 1;
-                            rel_class_index.insert(key, c);
-                            c
-                        }
-                    }
+                            rel_classes.len() - 1
+                        })
                 }
             };
             rel_class_of.insert((gi, ri), class);

@@ -25,7 +25,7 @@ mod write;
 
 pub use guard::ExecLimits;
 pub use merge::MergePolicy;
-pub use read::{named_projection_items, project_rows_unordered};
+pub use read::{Projected, Projector};
 
 pub(crate) use guard::ExecGuard;
 
@@ -483,15 +483,7 @@ impl Engine {
             }
         }
         if all_distinct {
-            let mut deduped: Vec<Vec<Value>> = Vec::new();
-            for row in rows {
-                if !deduped.iter().any(|d| {
-                    d.len() == row.len() && d.iter().zip(&row).all(|(a, b)| a.equivalent(b))
-                }) {
-                    deduped.push(row);
-                }
-            }
-            rows = deduped;
+            read::retain_first(&mut rows, |row| row);
         }
         Ok(QueryResult {
             columns,

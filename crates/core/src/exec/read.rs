@@ -6,7 +6,7 @@
 //! `[[C]](G, T) = (G, [[C]]^ro_G(T))`.
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use cypher_graph::{PropertyGraph, Value};
 use cypher_parser::ast::{Expr, PathPattern, Projection, ProjectionItem, ProjectionItems};
@@ -44,7 +44,7 @@ pub(crate) fn match_clause(
         let mut any = false;
         for m in matches {
             let keep = match where_clause {
-                Some(w) => crate::eval::eval_predicate(&ctx.eval_ctx(), &m, w)?.is_true(),
+                Some(w) => eval_predicate(&ctx.eval_ctx(), &m, w)?.is_true(),
                 None => true,
             };
             if keep {
@@ -310,15 +310,9 @@ fn match_anchors_scattered(
 
 /// All variables introduced by a tuple of patterns (node, relationship and
 /// path variables).
-pub(crate) fn pattern_variables(patterns: &[PathPattern]) -> Vec<String> {
-    let mut vars = Vec::new();
-    let mut push = |v: &Option<String>| {
-        if let Some(v) = v {
-            if !vars.contains(v) {
-                vars.push(v.clone());
-            }
-        }
-    };
+pub(crate) fn pattern_variables(patterns: &[PathPattern]) -> BTreeSet<String> {
+    let mut vars = BTreeSet::new();
+    let mut push = |v: &Option<String>| vars.extend(v.clone());
     for p in patterns {
         push(&p.var);
         push(&p.start.var);
@@ -359,310 +353,234 @@ pub(crate) fn unwind(ctx: &mut ExecCtx, expr: &Expr, alias: &str) -> Result<()> 
     Ok(())
 }
 
-/// Total-order wrapper over value tuples (global orderability), used for
-/// grouping and `DISTINCT`.
-#[derive(Clone, Debug, PartialEq)]
-struct Key(Vec<Value>);
-
-impl Eq for Key {}
-
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> Ordering {
-        for (a, b) in self.0.iter().zip(&other.0) {
-            match a.global_cmp(b) {
-                Ordering::Equal => continue,
-                ord => return ord,
-            }
-        }
-        self.0.len().cmp(&other.0.len())
-    }
-}
-
-/// `WITH` / `RETURN`.
+/// `WITH` / `RETURN`: the shared [`Projector`] core, then `ORDER BY`,
+/// `SKIP`, `LIMIT` and the `WITH … WHERE` filter.
 pub(crate) fn projection(ctx: &mut ExecCtx, proj: &Projection, is_with: bool) -> Result<()> {
-    // 1. Expand items to (column name, expression).
-    let items = expand_items(ctx, proj, is_with)?;
-    let columns: Vec<String> = items.iter().map(|(n, _)| n.clone()).collect();
-    {
-        let mut sorted = columns.clone();
-        sorted.sort();
-        sorted.dedup();
-        if sorted.len() != columns.len() {
-            return Err(EvalError::Dialect(ParseError::no_span(
-                "duplicate column names in projection",
-            )));
+    let (star, items) = match &proj.items {
+        ProjectionItems::Star { extra } => {
+            let star: Vec<(String, Expr)> = ctx
+                .table
+                .columns()
+                .into_iter()
+                .map(|c| (c.clone(), Expr::Variable(c)))
+                .collect();
+            // Only a *populated* table with zero columns means the scope
+            // is provably empty (the unit table at query start). A table
+            // with zero rows merely lost its column set — `MATCH … WITH *`
+            // over no matches must yield zero rows, not an error.
+            if star.is_empty() && extra.is_empty() && !ctx.table.is_empty() {
+                return Err(EvalError::Dialect(ParseError::no_span(
+                    "RETURN * with no variables in scope",
+                )));
+            }
+            (star, extra.as_slice())
         }
-    }
-
-    let has_agg = items.iter().any(|(_, e)| e.contains_aggregate());
+        ProjectionItems::Items(items) => (Vec::new(), items.as_slice()),
+    };
+    let projector = Projector::new(star, items, is_with, proj.distinct)?;
+    let columns = projector.columns();
     let input = std::mem::take(&mut ctx.table);
+    let Projected { mut rows, produced } = projector.project(&ctx.eval_ctx(), &input.rows)?;
+    ctx.charge_rows(produced)?;
 
-    // 2. Evaluate. `pairs` holds (projected record, source record for
-    //    ORDER BY resolution).
-    let mut pairs: Vec<(Record, Record)> = Vec::new();
-    if has_agg {
-        // Implicit grouping by the non-aggregate items.
-        let key_items: Vec<&(String, Expr)> = items
-            .iter()
-            .filter(|(_, e)| !e.contains_aggregate())
-            .collect();
-        let mut groups: BTreeMap<Key, Vec<Record>> = BTreeMap::new();
-        let eval_ctx = ctx.eval_ctx();
-        for rec in &input.rows {
-            let key = Key(key_items
-                .iter()
-                .map(|(_, e)| eval(&eval_ctx, rec, e))
-                .collect::<Result<Vec<_>>>()?);
-            groups.entry(key).or_default().push(rec.clone());
-        }
-        // An aggregation over an empty table with no grouping keys still
-        // produces one row (count(*) = 0).
-        if groups.is_empty() && key_items.is_empty() {
-            groups.insert(Key(vec![]), vec![]);
-        }
-        for rows in groups.values() {
-            let rep = rows.first().cloned().unwrap_or_default();
-            let mut out = Record::new();
-            for (name, expr) in &items {
-                let v = eval_in_group(&eval_ctx, rows, &rep, expr)?;
-                out.bind(name.clone(), v);
-            }
-            pairs.push((out, rep));
-        }
-    } else {
-        let eval_ctx = ctx.eval_ctx();
-        for rec in &input.rows {
-            let mut out = Record::new();
-            for (name, expr) in &items {
-                out.bind(name.clone(), eval(&eval_ctx, rec, expr)?);
-            }
-            pairs.push((out, rec.clone()));
-        }
-    }
-    ctx.charge_rows(pairs.len())?;
-
-    // 3. DISTINCT.
-    if proj.distinct {
-        let mut seen: Vec<Key> = Vec::new();
-        pairs.retain(|(rec, _)| {
-            let key = Key(rec.row(&columns));
-            if seen.contains(&key) {
-                false
-            } else {
-                seen.push(key);
-                true
-            }
-        });
-    }
-
-    // 4. ORDER BY: aliases take precedence, source variables remain visible
-    //    (non-aggregated projections only).
+    // ORDER BY: aliases take precedence, source variables remain visible
+    // (non-aggregated projections only).
     if !proj.order_by.is_empty() {
         let eval_ctx = ctx.eval_ctx();
-        type Keyed = Vec<(Vec<(Value, bool)>, (Record, Record))>;
-        let mut keyed: Keyed = Vec::new();
-        for (rec, src) in pairs {
-            let mut env = if has_agg { Record::new() } else { src.clone() };
-            for k in rec.keys().map(str::to_owned).collect::<Vec<_>>() {
-                let Some(v) = rec.get(&k) else {
-                    unreachable!("iterating the record's own keys");
-                };
-                env.bind(k.clone(), v.clone());
+        let mut keyed = Vec::with_capacity(rows.len());
+        for (row, src) in rows {
+            let mut env = src.cloned().unwrap_or_default();
+            for (name, v) in columns.iter().zip(&row) {
+                env.bind(name.clone(), v.clone());
             }
-            let mut keys = Vec::new();
+            let mut keys = Vec::with_capacity(proj.order_by.len());
             for si in &proj.order_by {
-                keys.push((eval(&eval_ctx, &env, &si.expr)?, si.descending));
+                keys.push(eval(&eval_ctx, &env, &si.expr)?);
             }
-            keyed.push((keys, (rec, src)));
+            keyed.push((keys, (row, src)));
         }
         keyed.sort_by(|(a, _), (b, _)| {
-            for ((va, desc), (vb, _)) in a.iter().zip(b) {
-                let ord = va.global_cmp(vb);
-                let ord = if *desc { ord.reverse() } else { ord };
-                if ord != Ordering::Equal {
-                    return ord;
+            for ((va, vb), si) in a.iter().zip(b).zip(&proj.order_by) {
+                let ord = va.cmp(vb);
+                if ord.is_ne() {
+                    return if si.descending { ord.reverse() } else { ord };
                 }
             }
             Ordering::Equal
         });
-        pairs = keyed.into_iter().map(|(_, p)| p).collect();
+        rows = keyed.into_iter().map(|(_, p)| p).collect();
     }
 
-    // 5. SKIP / LIMIT.
     if let Some(skip) = &proj.skip {
         let n = count_arg(ctx, skip, "SKIP")?;
-        pairs.drain(..n.min(pairs.len()));
+        rows.drain(..n.min(rows.len()));
     }
     if let Some(limit) = &proj.limit {
         let n = count_arg(ctx, limit, "LIMIT")?;
-        pairs.truncate(n);
+        rows.truncate(n);
     }
 
-    // 6. WITH … WHERE filters on the projected scope.
-    if let Some(w) = &proj.where_clause {
-        let eval_ctx = ctx.eval_ctx();
-        let mut kept = Vec::new();
-        for (rec, src) in pairs {
-            if crate::eval::eval_predicate(&eval_ctx, &rec, w)?.is_true() {
-                kept.push((rec, src));
+    let mut out = Vec::with_capacity(rows.len());
+    let eval_ctx = ctx.eval_ctx();
+    for (row, _) in rows {
+        let mut rec = Record::new();
+        for (name, v) in columns.iter().zip(row) {
+            rec.bind(name.clone(), v);
+        }
+        // WITH … WHERE filters on the projected scope.
+        if let Some(w) = &proj.where_clause {
+            if !eval_predicate(&eval_ctx, &rec, w)?.is_true() {
+                continue;
             }
         }
-        pairs = kept;
+        out.push(rec);
     }
-
-    ctx.table = Table::from_rows(pairs.into_iter().map(|(r, _)| r).collect());
+    ctx.table = Table::from_rows(out);
     if !is_with {
         ctx.result_columns = Some(columns);
     }
     Ok(())
 }
 
-fn expand_items(ctx: &ExecCtx, proj: &Projection, is_with: bool) -> Result<Vec<(String, Expr)>> {
-    fn add_item(out: &mut Vec<(String, Expr)>, item: &ProjectionItem, is_with: bool) -> Result<()> {
-        let name = match &item.alias {
-            Some(a) => a.clone(),
-            None => match &item.expr {
-                Expr::Variable(v) => v.clone(),
-                other if is_with => {
+/// The one projection operator behind `RETURN`, `WITH` and the live views
+/// of `cypher-ivm`: named items, implicit grouping by the non-aggregate
+/// items, aggregate evaluation and `DISTINCT`. `ORDER BY`, `SKIP`, `LIMIT`
+/// and `WITH … WHERE` stay with `projection`; a maintainable view has none
+/// of them. The byte-identity contract of DESIGN.md §15 rests on this
+/// sharing: a view re-projects its match memory through the very grouping
+/// key order, empty-group `count(*) = 0` row, representative-record
+/// evaluation and `DISTINCT` retention a fresh evaluation uses.
+#[derive(Clone, Debug)]
+pub struct Projector {
+    items: Vec<(String, Expr)>,
+    distinct: bool,
+    has_agg: bool,
+}
+
+/// The rows of one [`Projector::project`] call, in output order.
+pub struct Projected<'r> {
+    /// Each row with the record it was projected from (`None` for an
+    /// aggregate group), which `ORDER BY` may still read.
+    pub rows: Vec<(Vec<Value>, Option<&'r Record>)>,
+    /// Rows produced before `DISTINCT`: what the row budget charges.
+    pub produced: usize,
+}
+
+impl Projector {
+    /// Name the items after the `star` columns `*` expanded to (alias ▸
+    /// variable name ▸ printed expression; `WITH` demands an alias on any
+    /// other expression) and reject duplicate column names.
+    pub fn new(
+        star: Vec<(String, Expr)>,
+        items: &[ProjectionItem],
+        is_with: bool,
+        distinct: bool,
+    ) -> Result<Projector> {
+        let mut named = star;
+        for item in items {
+            let name = match (&item.alias, &item.expr) {
+                (Some(a), _) => a.clone(),
+                (None, Expr::Variable(v)) => v.clone(),
+                (None, other) if is_with => {
                     return Err(EvalError::Dialect(ParseError::no_span(format!(
                         "expression `{}` in WITH must be aliased",
                         print_expr(other)
                     ))))
                 }
-                other => print_expr(other),
-            },
-        };
-        out.push((name, item.expr.clone()));
-        Ok(())
-    }
-    let mut out: Vec<(String, Expr)> = Vec::new();
-    match &proj.items {
-        ProjectionItems::Star { extra } => {
-            for col in ctx.table.columns() {
-                out.push((col.clone(), Expr::Variable(col)));
-            }
-            // Only a *populated* table with zero columns means the scope
-            // is provably empty (the unit table at query start). A table
-            // with zero rows merely lost its column set — `MATCH … WITH *`
-            // over no matches must yield zero rows, not an error.
-            if out.is_empty() && extra.is_empty() && !ctx.table.is_empty() {
-                return Err(EvalError::Dialect(ParseError::no_span(
-                    "RETURN * with no variables in scope",
-                )));
-            }
-            for item in extra {
-                add_item(&mut out, item, is_with)?;
-            }
+                (None, other) => print_expr(other),
+            };
+            named.push((name, item.expr.clone()));
         }
-        ProjectionItems::Items(items) => {
-            for item in items {
-                add_item(&mut out, item, is_with)?;
-            }
+        let names: BTreeSet<&str> = named.iter().map(|(n, _)| n.as_str()).collect();
+        if names.len() != named.len() {
+            return Err(EvalError::Dialect(ParseError::no_span(
+                "duplicate column names in projection",
+            )));
         }
+        let has_agg = named.iter().any(|(_, e)| e.contains_aggregate());
+        Ok(Projector {
+            items: named,
+            distinct,
+            has_agg,
+        })
     }
-    Ok(out)
-}
 
-/// Column name and expression of each explicit projection item, using the
-/// same naming rules `RETURN` applies (alias ▸ variable name ▸ printed
-/// expression) and the same duplicate-column check. `RETURN *` is not
-/// handled: star expansion needs a table scope, which callers of this
-/// helper (the incremental view maintainer) do not have.
-pub fn named_projection_items(items: &[ProjectionItem]) -> Result<Vec<(String, Expr)>> {
-    let mut out: Vec<(String, Expr)> = Vec::with_capacity(items.len());
-    for item in items {
-        let name = match &item.alias {
-            Some(a) => a.clone(),
-            None => match &item.expr {
-                Expr::Variable(v) => v.clone(),
-                other => print_expr(other),
-            },
-        };
-        out.push((name, item.expr.clone()));
+    pub fn columns(&self) -> Vec<String> {
+        self.items.iter().map(|(n, _)| n.clone()).collect()
     }
-    let mut sorted: Vec<&String> = out.iter().map(|(n, _)| n).collect();
-    sorted.sort();
-    sorted.dedup();
-    if sorted.len() != out.len() {
-        return Err(EvalError::Dialect(ParseError::no_span(
-            "duplicate column names in projection",
-        )));
-    }
-    Ok(out)
-}
 
-/// The order-insensitive core of `RETURN`, exposed for incremental view
-/// maintenance (`cypher-ivm`): evaluate pre-expanded projection items over
-/// `input` with implicit aggregate grouping and `DISTINCT`, exactly as
-/// [`projection`] does in its steps 2–3. `ORDER BY` / `SKIP` / `LIMIT` and
-/// the `WITH … WHERE` filter are deliberately out of scope — a maintainable
-/// view has none (order-sensitive clauses force fallback re-evaluation).
-///
-/// The byte-identity contract of DESIGN.md §15 rests on this sharing: the
-/// view maintainer re-projects its match memory through the very same
-/// grouping key order (`Value::global_cmp`), empty-group `count(*) = 0`
-/// row, representative-record evaluation and `DISTINCT` retention logic
-/// that a fresh full evaluation would use.
-pub fn project_rows_unordered(
-    eval_ctx: &EvalCtx,
-    items: &[(String, Expr)],
-    distinct: bool,
-    input: &[Record],
-) -> Result<Vec<Vec<Value>>> {
-    let has_agg = items.iter().any(|(_, e)| e.contains_aggregate());
-    let mut rows: Vec<Vec<Value>> = Vec::new();
-    if has_agg {
-        let key_items: Vec<&(String, Expr)> = items
-            .iter()
-            .filter(|(_, e)| !e.contains_aggregate())
-            .collect();
-        let mut groups: BTreeMap<Key, Vec<Record>> = BTreeMap::new();
-        for rec in input {
-            let key = Key(key_items
+    /// Whether any item aggregates (the projection groups).
+    pub fn has_agg(&self) -> bool {
+        self.has_agg
+    }
+
+    pub fn distinct(&self) -> bool {
+        self.distinct
+    }
+
+    /// One row of a non-aggregating projection over `rec`.
+    pub fn row(&self, ctx: &EvalCtx, rec: &Record) -> Result<Vec<Value>> {
+        self.items.iter().map(|(_, e)| eval(ctx, rec, e)).collect()
+    }
+
+    /// Project `input`. Aggregating projections emit one row per group, in
+    /// ascending key order; others emit one row per input record, in input
+    /// order. `DISTINCT` then keeps the first row of each equivalence class.
+    pub fn project<'r>(
+        &self,
+        ctx: &EvalCtx,
+        input: impl IntoIterator<Item = &'r Record>,
+    ) -> Result<Projected<'r>> {
+        let mut rows = Vec::new();
+        if self.has_agg {
+            let keys: Vec<&Expr> = self
+                .items
                 .iter()
-                .map(|(_, e)| eval(eval_ctx, rec, e))
-                .collect::<Result<Vec<_>>>()?);
-            groups.entry(key).or_default().push(rec.clone());
-        }
-        if groups.is_empty() && key_items.is_empty() {
-            groups.insert(Key(vec![]), vec![]);
-        }
-        for group in groups.values() {
-            let rep = group.first().cloned().unwrap_or_default();
-            let mut out = Vec::with_capacity(items.len());
-            for (_, expr) in items {
-                out.push(eval_in_group(eval_ctx, group, &rep, expr)?);
+                .map(|(_, e)| e)
+                .filter(|e| !e.contains_aggregate())
+                .collect();
+            let mut groups: BTreeMap<Vec<Value>, Vec<&Record>> = BTreeMap::new();
+            for rec in input {
+                let key = keys
+                    .iter()
+                    .map(|e| eval(ctx, rec, e))
+                    .collect::<Result<_>>()?;
+                groups.entry(key).or_default().push(rec);
             }
-            rows.push(out);
-        }
-    } else {
-        for rec in input {
-            let mut out = Vec::with_capacity(items.len());
-            for (_, expr) in items {
-                out.push(eval(eval_ctx, rec, expr)?);
+            // An aggregation over an empty table with no grouping keys
+            // still produces one row (count(*) = 0).
+            if groups.is_empty() && keys.is_empty() {
+                groups.insert(vec![], vec![]);
             }
-            rows.push(out);
+            let empty = Record::new();
+            for group in groups.values() {
+                let rep = group.first().copied().unwrap_or(&empty);
+                let row = self.items.iter();
+                let row = row.map(|(_, e)| eval_in_group(ctx, group, rep, e));
+                rows.push((row.collect::<Result<_>>()?, None));
+            }
+        } else {
+            for rec in input {
+                rows.push((self.row(ctx, rec)?, Some(rec)));
+            }
         }
+        let produced = rows.len();
+        if self.distinct {
+            retain_first(&mut rows, |(row, _)| row);
+        }
+        Ok(Projected { rows, produced })
     }
-    if distinct {
-        let mut seen: Vec<Key> = Vec::new();
-        rows.retain(|row| {
-            let key = Key(row.clone());
-            if seen.contains(&key) {
-                false
-            } else {
-                seen.push(key);
-                true
-            }
-        });
-    }
-    Ok(rows)
+}
+
+/// Keep the first row of each class of equivalent keys, in input order:
+/// the one duplicate elimination behind `DISTINCT` and `UNION`.
+pub(crate) fn retain_first<T>(rows: &mut Vec<T>, key: impl Fn(&T) -> &[Value]) {
+    let keep: Vec<bool> = {
+        let mut seen = BTreeSet::new();
+        rows.iter().map(|r| seen.insert(key(r))).collect()
+    };
+    let mut keep = keep.into_iter();
+    rows.retain(|_| keep.next() == Some(true));
 }
 
 fn count_arg(ctx: &ExecCtx, expr: &Expr, context: &'static str) -> Result<usize> {
@@ -680,7 +598,7 @@ fn count_arg(ctx: &ExecCtx, expr: &Expr, context: &'static str) -> Result<usize>
 /// records. Non-aggregate subtrees are evaluated on the group's
 /// representative record (they are grouping keys, constant within the
 /// group).
-fn eval_in_group(ctx: &EvalCtx, rows: &[Record], rep: &Record, expr: &Expr) -> Result<Value> {
+fn eval_in_group(ctx: &EvalCtx, rows: &[&Record], rep: &Record, expr: &Expr) -> Result<Value> {
     if !expr.contains_aggregate() {
         return eval(ctx, rep, expr);
     }

@@ -51,8 +51,8 @@ pub mod table;
 
 pub use error::{EvalError, Result};
 pub use exec::{
-    named_projection_items, project_rows_unordered, Engine, EngineBuilder, ExecLimits, LintMode,
-    MergePolicy, ProcessingOrder, QueryResult, UpdateStats,
+    Engine, EngineBuilder, ExecLimits, LintMode, MergePolicy, ProcessingOrder, Projected,
+    Projector, QueryResult, UpdateStats,
 };
 pub use export::graph_to_cypher;
 pub use pattern::{MatchMode, Matcher};

@@ -329,7 +329,7 @@ fn pattern_fanout(g: &PropertyGraph, p: &PathPattern) -> f64 {
 }
 
 /// Variables introduced by one pattern (node, relationship and path).
-fn single_pattern_vars(p: &PathPattern) -> Vec<String> {
+fn single_pattern_vars(p: &PathPattern) -> BTreeSet<String> {
     crate::exec::read::pattern_variables(std::slice::from_ref(p))
 }
 

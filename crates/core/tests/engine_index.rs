@@ -112,3 +112,31 @@ fn index_lookup_respects_null_semantics() {
         .unwrap();
     assert_eq!(r.rows[0][0], Value::Int(0));
 }
+
+#[test]
+fn index_probe_is_exact_above_2_pow_53() {
+    let e = Engine::revised();
+    let naive = Engine::builder(cypher_core::Dialect::Revised)
+        .force_naive(true)
+        .build();
+    let mut g = PropertyGraph::new();
+    e.run(
+        &mut g,
+        "UNWIND [9007199254740992, 9007199254740993] AS i CREATE (:U {id: i})",
+    )
+    .unwrap();
+    e.run(&mut g, "CREATE INDEX ON :U(id)").unwrap();
+    let query = "MATCH (u:U {id: 9007199254740992.0}) RETURN u.id AS id";
+    let via_index = e.run(&mut g, query).unwrap();
+    let scanned = naive.run(&mut g, query).unwrap();
+    assert_eq!(via_index.rows, scanned.rows);
+    assert!(
+        matches!(via_index.rows.as_slice(), [r] if matches!(r[..], [Value::Int(9007199254740992)])),
+        "{:?}",
+        via_index.rows
+    );
+    let eq = e
+        .run(&mut g, "RETURN 9007199254740993 = 9007199254740992.0 AS eq")
+        .unwrap();
+    assert_eq!(eq.rows, vec![vec![Value::Bool(false)]]);
+}

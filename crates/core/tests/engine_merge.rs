@@ -632,3 +632,52 @@ fn cypher9_with_demarcation_enforced_at_runtime() {
         .run(&mut g, "CREATE (:A) MATCH (n) RETURN n")
         .unwrap();
 }
+
+// ---------------------------------------------------------------------
+// Value equivalence is exact above 2⁵³: integers that round to the same
+// `f64` are different values, so no grouping or collapse merges them.
+// ---------------------------------------------------------------------
+
+const TWO_53: i64 = 1 << 53;
+
+fn merged_ids(e: &Engine, merge: &str, ids: &str) -> Vec<Value> {
+    let mut g = PropertyGraph::new();
+    e.run(&mut g, &format!("UNWIND {ids} AS i {merge} (:V {{id: i}})"))
+        .unwrap();
+    e.run(&mut g, "MATCH (v:V) RETURN v.id AS id ORDER BY id")
+        .unwrap()
+        .rows
+        .into_iter()
+        .map(|mut r| r.remove(0))
+        .collect()
+}
+
+#[test]
+fn merge_same_keeps_ints_apart_that_collide_as_floats() {
+    let ids = "[9007199254740992, 9007199254740993]";
+    let e = Engine::revised();
+    for merge in ["MERGE SAME", "MERGE ALL"] {
+        let got = merged_ids(&e, merge, ids);
+        assert!(
+            matches!(got.as_slice(), [Value::Int(a), Value::Int(b)] if *a == TWO_53 && *b == TWO_53 + 1),
+            "{merge}: {got:?}"
+        );
+    }
+    for policy in MergePolicy::PROPOSALS {
+        let got = merged_ids(&policy_engine(policy), "MERGE ALL", ids);
+        assert_eq!(got.len(), 2, "{policy}: {got:?}");
+    }
+}
+
+#[test]
+fn merge_same_still_collapses_an_int_and_its_exact_float() {
+    let got = merged_ids(
+        &Engine::revised(),
+        "MERGE SAME",
+        "[9007199254740992, 9007199254740992.0]",
+    );
+    assert!(
+        matches!(got.as_slice(), [Value::Int(a)] if *a == TWO_53),
+        "{got:?}"
+    );
+}

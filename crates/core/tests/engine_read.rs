@@ -342,3 +342,95 @@ fn foreach_is_not_a_reader() {
         .unwrap();
     assert_eq!(ints(r.column("c")), vec![3]);
 }
+
+// ---------------------------------------------------------------------
+// One exact value order: grouping, DISTINCT, ORDER BY and min/max agree
+// on integers above 2⁵³ that round to the same `f64`.
+// ---------------------------------------------------------------------
+
+const TWO_53: i64 = 1 << 53;
+
+#[test]
+fn grouping_and_distinct_agree_above_2_pow_53() {
+    let mut g = PropertyGraph::new();
+    let e = Engine::revised();
+    let grouped = e
+        .run(
+            &mut g,
+            "UNWIND [9007199254740992, 9007199254740993] AS i RETURN i, count(*) AS n",
+        )
+        .unwrap();
+    assert_eq!(ints(grouped.column("i")), vec![TWO_53, TWO_53 + 1]);
+    assert_eq!(ints(grouped.column("n")), vec![1, 1]);
+    let distinct = e
+        .run(
+            &mut g,
+            "UNWIND [9007199254740992, 9007199254740993, 9007199254740992] AS i \
+             RETURN DISTINCT i",
+        )
+        .unwrap();
+    assert_eq!(ints(distinct.column("i")), vec![TWO_53, TWO_53 + 1]);
+    let counted = e
+        .run(
+            &mut g,
+            "UNWIND [9007199254740992, 9007199254740993] AS i RETURN count(DISTINCT i) AS n",
+        )
+        .unwrap();
+    assert_eq!(ints(counted.column("n")), vec![2]);
+}
+
+#[test]
+fn order_by_and_min_max_are_exact_above_2_pow_53() {
+    let mut g = PropertyGraph::new();
+    let e = Engine::revised();
+    let ordered = e
+        .run(
+            &mut g,
+            "UNWIND [9007199254740993, 9007199254740992] AS i RETURN i ORDER BY i",
+        )
+        .unwrap();
+    assert_eq!(ints(ordered.column("i")), vec![TWO_53, TWO_53 + 1]);
+    let extremes = e
+        .run(
+            &mut g,
+            "UNWIND [9007199254740993, 9007199254740992] AS i RETURN min(i) AS lo, max(i) AS hi",
+        )
+        .unwrap();
+    assert_eq!(ints(extremes.column("lo")), vec![TWO_53]);
+    assert_eq!(ints(extremes.column("hi")), vec![TWO_53 + 1]);
+}
+
+/// `DISTINCT`, `count(DISTINCT …)` and `UNION` deduplicate through one
+/// ordered set, not a pairwise scan: 40k rows stay well inside a second.
+#[test]
+fn distinct_and_union_scale_to_40k_rows() {
+    let mut g = PropertyGraph::new();
+    let e = Engine::revised();
+    let bound = std::time::Duration::from_secs(3);
+    let cases = [
+        (
+            "UNWIND range(1, 40000) AS i WITH DISTINCT i RETURN count(*) AS n",
+            vec![40000],
+        ),
+        (
+            "UNWIND range(1, 40000) AS i RETURN count(DISTINCT i) AS n",
+            vec![40000],
+        ),
+    ];
+    for (query, expected) in cases {
+        let start = std::time::Instant::now();
+        let r = e.run(&mut g, query).unwrap();
+        assert!(start.elapsed() <= bound, "{query}: {:?}", start.elapsed());
+        assert_eq!(ints(r.column("n")), expected, "{query}");
+    }
+    let start = std::time::Instant::now();
+    let r = e
+        .run(
+            &mut g,
+            "UNWIND range(1, 20000) AS i RETURN i \
+             UNION UNWIND range(10001, 30000) AS i RETURN i",
+        )
+        .unwrap();
+    assert!(start.elapsed() <= bound, "UNION: {:?}", start.elapsed());
+    assert_eq!(ints(r.column("i")), (1..=30000).collect::<Vec<i64>>());
+}

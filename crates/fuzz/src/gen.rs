@@ -22,6 +22,7 @@ const RTYPES: &[&str] = &["T", "U", "R"];
 const KEYS: &[&str] = &["id", "k", "name", "w"];
 const STRS: &[&str] = &["x", "yy", "laptop", "bob"];
 const PARAMS: &[&str] = &["uid", "pid"];
+const TWO_53: i64 = 1 << 53;
 
 /// A generated multi-statement script, pretty-printed.
 #[derive(Clone, Debug)]
@@ -230,10 +231,36 @@ impl<'a> Ctx<'a> {
     // -- expressions --------------------------------------------------------
 
     fn lit(&mut self) -> Expr {
-        match self.rng.weighted(&[6, 3, 1]) {
+        match self.rng.weighted(&[12, 6, 2, 1, 1]) {
             0 => Expr::int(self.rng.range(0, 9)),
             1 => Expr::str(*self.rng.pick(STRS)),
-            _ => Expr::Literal(Lit::Bool(self.rng.chance(1, 2))),
+            2 => Expr::Literal(Lit::Bool(self.rng.chance(1, 2))),
+            3 => self.boundary_int(),
+            _ => Expr::Literal(Lit::Float(TWO_53 as f64)),
+        }
+    }
+
+    /// An integer where `i64` and `f64` part ways: within 3 of ±2⁵³
+    /// (2⁵³ + 1 rounds to 2⁵³ as a float) or an `i64` extreme. Negative
+    /// values are negations, as the printer writes them.
+    fn boundary_int(&mut self) -> Expr {
+        let neg = |e: Expr| Expr::Unary(UnaryOp::Neg, Box::new(e));
+        match self.rng.below(4) {
+            0 => Expr::int(i64::MAX),
+            // i64::MIN has no literal: -i64::MAX - 1.
+            1 => Expr::Binary(
+                BinOp::Sub,
+                Box::new(neg(Expr::int(i64::MAX))),
+                Box::new(Expr::int(1)),
+            ),
+            _ => {
+                let n = Expr::int(TWO_53 + self.rng.range(-3, 3));
+                if self.rng.chance(1, 2) {
+                    neg(n)
+                } else {
+                    n
+                }
+            }
         }
     }
 

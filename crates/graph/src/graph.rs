@@ -258,38 +258,12 @@ pub(crate) enum UndoOp {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Savepoint(pub(crate) usize);
 
-/// Property values wrapped with the global order, usable as index keys.
-/// Equal keys are exactly *equivalent* values (so `1` and `1.0` share an
-/// index slot, as `=` would conflate them).
-#[derive(Clone, Debug)]
-struct OrderedValue(Value);
-
-impl PartialEq for OrderedValue {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.global_cmp(&other.0) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for OrderedValue {}
-
-impl PartialOrd for OrderedValue {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrderedValue {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.global_cmp(&other.0)
-    }
-}
-
 /// One composite property index with always-on usage counters. The counters
 /// are atomics only so that probes can count through `&self`; the graph is
 /// not otherwise concurrent.
 #[derive(Debug, Default)]
 struct PropIndex {
-    map: BTreeMap<OrderedValue, BTreeSet<NodeId>>,
+    map: BTreeMap<Value, BTreeSet<NodeId>>,
     /// Total `(value, node)` postings, maintained incrementally.
     entries: usize,
     hits: AtomicU64,
@@ -565,12 +539,7 @@ impl PropertyGraph {
         if value.is_null() {
             return Some(0);
         }
-        Some(
-            idx.map
-                .get(&OrderedValue(value.clone()))
-                .map(BTreeSet::len)
-                .unwrap_or(0),
-        )
+        Some(idx.map.get(value).map(BTreeSet::len).unwrap_or(0))
     }
 
     /// Size and usage statistics for every index, ascending by (label, key).
@@ -650,12 +619,12 @@ impl PropertyGraph {
         if self.indexes.contains_key(&(label, key)) {
             return false;
         }
-        let mut map: BTreeMap<OrderedValue, BTreeSet<NodeId>> = BTreeMap::new();
+        let mut map: BTreeMap<Value, BTreeSet<NodeId>> = BTreeMap::new();
         let mut entries = 0usize;
         if let Some(nodes) = self.label_index.get(&label) {
             for &n in nodes {
                 if let Some(v) = self.nodes.get(&n).and_then(|d| d.props.get(&key)) {
-                    if map.entry(OrderedValue(v.clone())).or_default().insert(n) {
+                    if map.entry(v.clone()).or_default().insert(n) {
                         entries += 1;
                     }
                 }
@@ -697,7 +666,7 @@ impl PropertyGraph {
             idx.misses.fetch_add(1, Ordering::Relaxed);
             return Some(vec![]);
         }
-        match idx.map.get(&OrderedValue(value.clone())) {
+        match idx.map.get(value) {
             Some(set) => {
                 idx.hits.fetch_add(1, Ordering::Relaxed);
                 Some(set.iter().copied().collect())
@@ -711,12 +680,7 @@ impl PropertyGraph {
 
     fn index_insert(&mut self, label: Symbol, key: Symbol, value: &Value, node: NodeId) {
         if let Some(idx) = self.indexes.get_mut(&(label, key)) {
-            if idx
-                .map
-                .entry(OrderedValue(value.clone()))
-                .or_default()
-                .insert(node)
-            {
+            if idx.map.entry(value.clone()).or_default().insert(node) {
                 idx.entries += 1;
             }
         }
@@ -724,13 +688,12 @@ impl PropertyGraph {
 
     fn index_remove(&mut self, label: Symbol, key: Symbol, value: &Value, node: NodeId) {
         if let Some(idx) = self.indexes.get_mut(&(label, key)) {
-            let probe = OrderedValue(value.clone());
-            if let Some(set) = idx.map.get_mut(&probe) {
+            if let Some(set) = idx.map.get_mut(value) {
                 if set.remove(&node) {
                     idx.entries -= 1;
                 }
                 if set.is_empty() {
-                    idx.map.remove(&probe);
+                    idx.map.remove(value);
                 }
             }
         }
@@ -743,8 +706,7 @@ impl PropertyGraph {
         }
         for &l in &data.labels {
             for (&k, v) in &data.props {
-                let v = v.clone();
-                self.index_insert(l, k, &v, id);
+                self.index_insert(l, k, v, id);
             }
         }
     }
@@ -756,8 +718,7 @@ impl PropertyGraph {
         }
         for &l in &data.labels {
             for (&k, v) in &data.props {
-                let v = v.clone();
-                self.index_remove(l, k, &v, id);
+                self.index_remove(l, k, v, id);
             }
         }
     }
@@ -776,12 +737,10 @@ impl PropertyGraph {
         }
         for &l in labels {
             if let Some(v) = old {
-                let v = v.clone();
-                self.index_remove(l, key, &v, node);
+                self.index_remove(l, key, v, node);
             }
             if let Some(v) = new {
-                let v = v.clone();
-                self.index_insert(l, key, &v, node);
+                self.index_insert(l, key, v, node);
             }
         }
     }

@@ -166,15 +166,6 @@ impl Value {
         }
     }
 
-    /// Numeric view of the value, if it is a number.
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(i) => Some(*i as f64),
-            Value::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-
     /// The Cypher `=` operator: ternary, `null` poisons, numbers compare
     /// across int/float, values of different (non-numeric) types are
     /// *not equal* (false, not unknown), and `NaN = NaN` is false.
@@ -182,13 +173,8 @@ impl Value {
         use Value::*;
         match (self, other) {
             (Null, _) | (_, Null) => Ternary::Unknown,
-            (Int(a), Int(b)) => Ternary::from_bool(a == b),
-            (Int(_), Float(_)) | (Float(_), Int(_)) | (Float(_), Float(_)) => {
-                let (a, b) = (
-                    self.as_f64().unwrap_or(f64::NAN),
-                    other.as_f64().unwrap_or(f64::NAN),
-                );
-                Ternary::from_bool(a == b)
+            (Int(_) | Float(_), Int(_) | Float(_)) => {
+                Ternary::from_bool(num_cmp(self, other) == Some(Ordering::Equal))
             }
             (Bool(a), Bool(b)) => Ternary::from_bool(a == b),
             (Str(a), Str(b)) => Ternary::from_bool(a == b),
@@ -227,38 +213,10 @@ impl Value {
 
     /// Equivalence, as used by `DISTINCT`, grouping keys, and the
     /// collapsibility relations (Defs. 1–2): like `=`, except `null ≡ null`
-    /// and `NaN ≡ NaN` hold.
+    /// and `NaN ≡ NaN` hold. Defined as equality under the global order,
+    /// so the two can never disagree.
     pub fn equivalent(&self, other: &Value) -> bool {
-        use Value::*;
-        match (self, other) {
-            (Null, Null) => true,
-            (Null, _) | (_, Null) => false,
-            (Float(a), Float(b)) if a.is_nan() && b.is_nan() => true,
-            (Int(_) | Float(_), Int(_) | Float(_)) => match (self, other) {
-                (Int(a), Int(b)) => a == b,
-                _ => {
-                    let (a, b) = (
-                        self.as_f64().unwrap_or(f64::NAN),
-                        other.as_f64().unwrap_or(f64::NAN),
-                    );
-                    (a.is_nan() && b.is_nan()) || a == b
-                }
-            },
-            (List(a), List(b)) => {
-                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.equivalent(y))
-            }
-            (Map(a), Map(b)) => {
-                a.len() == b.len()
-                    && a.keys().eq(b.keys())
-                    && a.values().zip(b.values()).all(|(x, y)| x.equivalent(y))
-            }
-            (Bool(a), Bool(b)) => a == b,
-            (Str(a), Str(b)) => a == b,
-            (Node(a), Node(b)) => a == b,
-            (Rel(a), Rel(b)) => a == b,
-            (Path(a), Path(b)) => a == b,
-            _ => false,
-        }
+        self.global_cmp(other).is_eq()
     }
 
     /// Comparison for the `<`, `<=`, `>`, `>=` operators: defined between two
@@ -267,11 +225,7 @@ impl Value {
     pub fn cypher_cmp(&self, other: &Value) -> Option<Ordering> {
         use Value::*;
         match (self, other) {
-            (Int(a), Int(b)) => Some(a.cmp(b)),
-            (Int(_) | Float(_), Int(_) | Float(_)) => self
-                .as_f64()
-                .unwrap_or(f64::NAN)
-                .partial_cmp(&other.as_f64().unwrap_or(f64::NAN)),
+            (Int(_) | Float(_), Int(_) | Float(_)) => num_cmp(self, other),
             (Str(a), Str(b)) => Some(a.cmp(b)),
             (Bool(a), Bool(b)) => Some(a.cmp(b)),
             (List(a), List(b)) => {
@@ -320,43 +274,11 @@ impl Value {
             (Node(a), Node(b)) => a.cmp(b),
             (Rel(a), Rel(b)) => a.cmp(b),
             (Int(_) | Float(_), Int(_) | Float(_)) => {
-                let (a, b) = (
-                    self.as_f64().unwrap_or(f64::NAN),
-                    other.as_f64().unwrap_or(f64::NAN),
-                );
-                match (a.is_nan(), b.is_nan()) {
-                    (true, true) => Ordering::Equal,
-                    (true, false) => Ordering::Greater,
-                    (false, true) => Ordering::Less,
-                    (false, false) => a.partial_cmp(&b).unwrap_or(Ordering::Equal),
-                }
+                let is_nan = |v: &Value| matches!(v, Float(f) if f.is_nan());
+                num_cmp(self, other).unwrap_or_else(|| is_nan(self).cmp(&is_nan(other)))
             }
-            (List(a), List(b)) => {
-                for (x, y) in a.iter().zip(b) {
-                    match x.global_cmp(y) {
-                        Ordering::Equal => continue,
-                        ord => return ord,
-                    }
-                }
-                a.len().cmp(&b.len())
-            }
-            (Map(a), Map(b)) => {
-                let mut ai = a.iter();
-                let mut bi = b.iter();
-                loop {
-                    match (ai.next(), bi.next()) {
-                        (None, None) => return Ordering::Equal,
-                        (None, Some(_)) => return Ordering::Less,
-                        (Some(_), None) => return Ordering::Greater,
-                        (Some((ka, va)), Some((kb, vb))) => {
-                            match ka.cmp(kb).then_with(|| va.global_cmp(vb)) {
-                                Ordering::Equal => continue,
-                                ord => return ord,
-                            }
-                        }
-                    }
-                }
-            }
+            (List(a), List(b)) => a.cmp(b),
+            (Map(a), Map(b)) => a.cmp(b),
             (Path(a), Path(b)) => (&a.nodes, &a.rels).cmp(&(&b.nodes, &b.rels)),
             _ => unreachable!("bucketed comparison covers all same-bucket pairs"),
         }
@@ -373,6 +295,53 @@ impl PartialEq for Value {
 }
 
 impl Eq for Value {}
+
+/// The global order ([`Value::global_cmp`]), which agrees exactly with
+/// equivalence: `a.cmp(b) == Equal` iff `a == b`. So `Value` and
+/// `Vec<Value>` key ordered maps directly — property indexes, grouping,
+/// `DISTINCT` and `MERGE` collapse classes — and equal keys are exactly
+/// equivalent values: `1` and `1.0` share an index slot, as `=` would
+/// conflate them, while `2⁵³ + 1` and `2⁵³.0` do not.
+impl Ord for Value {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.global_cmp(other)
+    }
+}
+
+impl PartialOrd for Value {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The one numeric comparison behind `=`, `<`, equivalence and the global
+/// order: exact across `Int`/`Float` (no rounding through `f64`, so
+/// `2⁵³ + 1 > 2⁵³.0`), `None` when either side is `NaN` or not a number.
+fn num_cmp(a: &Value, b: &Value) -> Option<Ordering> {
+    match (a, b) {
+        (Value::Int(x), Value::Int(y)) => Some(x.cmp(y)),
+        (Value::Float(x), Value::Float(y)) => x.partial_cmp(y),
+        (Value::Int(i), Value::Float(f)) => int_float_cmp(*i, *f),
+        (Value::Float(f), Value::Int(i)) => int_float_cmp(*i, *f).map(Ordering::reverse),
+        _ => None,
+    }
+}
+
+/// Exact `i` vs `f`. Every float in `[-2⁶³, 2⁶³)` truncates to an `i64`
+/// without loss; the fractional part then breaks an integer tie.
+fn int_float_cmp(i: i64, f: f64) -> Option<Ordering> {
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if f.is_nan() {
+        None
+    } else if f >= TWO_63 {
+        Some(Ordering::Less)
+    } else if f < -TWO_63 {
+        Some(Ordering::Greater)
+    } else {
+        let t = f.trunc();
+        Some(i.cmp(&(t as i64)).then(0.0_f64.partial_cmp(&(f - t))?))
+    }
+}
 
 impl From<bool> for Value {
     fn from(b: bool) -> Self {
@@ -534,6 +503,56 @@ mod tests {
     fn equivalence_crosses_numeric_types() {
         assert!(Value::Int(2).equivalent(&Value::Float(2.0)));
         assert!(!Value::Int(2).equivalent(&Value::Float(2.5)));
+    }
+
+    #[test]
+    fn numbers_compare_exactly_across_int_and_float() {
+        let two_53 = 1i64 << 53;
+        let cases = [
+            (
+                Value::Int(two_53 + 1),
+                Value::Float(two_53 as f64),
+                Ordering::Greater,
+            ),
+            (
+                Value::Int(two_53),
+                Value::Float(two_53 as f64),
+                Ordering::Equal,
+            ),
+            (
+                Value::Int(i64::MAX),
+                Value::Float(2f64.powi(63)),
+                Ordering::Less,
+            ),
+            (
+                Value::Int(i64::MIN),
+                Value::Float(-(2f64.powi(63))),
+                Ordering::Equal,
+            ),
+            (Value::Int(-1), Value::Float(-1.5), Ordering::Greater),
+            (Value::Int(-2), Value::Float(-1.5), Ordering::Less),
+            (Value::Int(0), Value::Float(-0.0), Ordering::Equal),
+            (
+                Value::Int(i64::MAX),
+                Value::Float(f64::INFINITY),
+                Ordering::Less,
+            ),
+            (
+                Value::Int(i64::MIN),
+                Value::Float(f64::NEG_INFINITY),
+                Ordering::Greater,
+            ),
+        ];
+        for (a, b, ord) in cases {
+            assert_eq!(a.global_cmp(&b), ord, "{a:?} vs {b:?}");
+            assert_eq!(b.global_cmp(&a), ord.reverse(), "{b:?} vs {a:?}");
+            assert_eq!(a.cypher_cmp(&b), Some(ord), "{a:?} < {b:?}");
+            assert_eq!(a.cypher_eq(&b), Ternary::from_bool(ord.is_eq()));
+            assert_eq!(a == b, ord.is_eq());
+        }
+        let nan = Value::Float(f64::NAN);
+        assert_eq!(Value::Int(i64::MAX).global_cmp(&nan), Ordering::Less);
+        assert_eq!(Value::Int(1).cypher_cmp(&nan), None);
     }
 
     #[test]

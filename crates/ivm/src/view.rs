@@ -22,9 +22,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use cypher_core::eval::{eval_predicate, EvalCtx};
-use cypher_core::{
-    named_projection_items, project_rows_unordered, Engine, EvalError, Matcher, Record,
-};
+use cypher_core::{Engine, EvalError, Matcher, Projector, Record};
 use cypher_graph::{Delta, EntityRef, NodeId, PropertyGraph, RelId, Value};
 use cypher_parser::ast::{
     is_aggregate_fn, Clause, Expr, PathPattern, ProjectionItems, RelDirection,
@@ -69,7 +67,7 @@ pub(crate) fn row_key(row: &[Value]) -> String {
     format!("{row:?}")
 }
 
-pub(crate) fn rowset_from(rows: &[Vec<Value>]) -> RowSet {
+pub(crate) fn rowset_from<'a>(rows: impl IntoIterator<Item = &'a Vec<Value>>) -> RowSet {
     let mut set = RowSet::new();
     for row in rows {
         let e = set.entry(row_key(row)).or_insert_with(|| (row.clone(), 0));
@@ -155,8 +153,7 @@ fn pattern_exprs_ok(p: &PathPattern) -> bool {
 struct CompiledQuery {
     patterns: Vec<PathPattern>,
     where_clause: Option<Expr>,
-    items: Vec<(String, Expr)>,
-    distinct: bool,
+    projector: Projector,
 }
 
 /// Decide maintainability and rewrite anonymous pattern variables.
@@ -184,9 +181,9 @@ fn compile(text: &str) -> Option<CompiledQuery> {
         // special-casing — fall back.
         return None;
     };
-    let items = named_projection_items(raw_items).ok()?;
-    for (_, e) in &items {
-        if has_pattern_predicate(e) || has_collect(e) {
+    let projector = Projector::new(Vec::new(), raw_items, false, proj.distinct).ok()?;
+    for item in raw_items {
+        if has_pattern_predicate(&item.expr) || has_collect(&item.expr) {
             return None;
         }
     }
@@ -249,8 +246,7 @@ fn compile(text: &str) -> Option<CompiledQuery> {
     Some(CompiledQuery {
         patterns,
         where_clause: where_clause.clone(),
-        items,
-        distinct: proj.distinct,
+        projector,
     })
 }
 
@@ -258,6 +254,7 @@ fn compile(text: &str) -> Option<CompiledQuery> {
 struct Network {
     patterns: Vec<PathPattern>,
     where_clause: Option<Expr>,
+    projector: Projector,
     /// Node variable at each node position (may repeat a variable).
     node_vars: Vec<String>,
     rel_positions: Vec<RelPos>,
@@ -268,7 +265,7 @@ struct Network {
 }
 
 impl Network {
-    fn new(cq: &CompiledQuery) -> Network {
+    fn new(cq: CompiledQuery) -> Network {
         let mut node_vars = Vec::new();
         let mut rel_positions = Vec::new();
         let mut entity_vars = BTreeSet::new();
@@ -292,14 +289,21 @@ impl Network {
             }
         }
         Network {
-            patterns: cq.patterns.clone(),
-            where_clause: cq.where_clause.clone(),
+            patterns: cq.patterns,
+            where_clause: cq.where_clause,
+            projector: cq.projector,
             node_vars,
             rel_positions,
             entity_vars: entity_vars.into_iter().collect(),
             matches: BTreeMap::new(),
             by_entity: BTreeMap::new(),
         }
+    }
+
+    /// A plain (non-aggregate, non-`DISTINCT`) view maps each match to one
+    /// row, so it maintains row by row from cached projections.
+    fn plain(&self) -> bool {
+        !self.projector.has_agg() && !self.projector.distinct()
     }
 
     fn key_of(&self, rec: &Record) -> Result<MatchKey, EvalError> {
@@ -436,9 +440,6 @@ pub(crate) struct View {
     pub(crate) text: String,
     pub(crate) engine: Engine,
     pub(crate) columns: Vec<String>,
-    items: Vec<(String, Expr)>,
-    distinct: bool,
-    has_agg: bool,
     network: Option<Network>,
     pub(crate) rows: RowSet,
     pub(crate) deltas: u64,
@@ -470,9 +471,6 @@ impl View {
             text: text.to_owned(),
             engine: engine.clone(),
             columns,
-            items: Vec::new(),
-            distinct: false,
-            has_agg: false,
             network: None,
             rows: rowset_from(full_rows),
             deltas: 0,
@@ -482,11 +480,10 @@ impl View {
         let Some(cq) = compile(text) else {
             return view;
         };
-        let item_columns: Vec<String> = cq.items.iter().map(|(n, _)| n.clone()).collect();
-        if item_columns != view.columns {
+        if cq.projector.columns() != view.columns {
             return view;
         }
-        let mut network = Network::new(&cq);
+        let mut network = Network::new(cq);
         // Seed the memory with the current embeddings, then cross-check the
         // projected rows against the full evaluation the caller already
         // ran. A mismatch means the incremental pipeline disagrees with
@@ -495,28 +492,19 @@ impl View {
         let seeded = (|| -> Result<Vec<Vec<Value>>, EvalError> {
             let mut added = BTreeSet::new();
             network.enumerate_pinned(engine, shadow, &Record::new(), &mut added)?;
-            let has_agg = cq.items.iter().any(|(_, e)| e.contains_aggregate());
             let eval_ctx = EvalCtx::new(shadow, &engine.params).with_match_mode(engine.match_mode);
-            if !has_agg && !cq.distinct {
-                for entry in network.matches.values_mut() {
-                    let mut row = Vec::with_capacity(cq.items.len());
-                    for (_, expr) in &cq.items {
-                        row.push(cypher_core::eval::eval(&eval_ctx, &entry.rec, expr)?);
-                    }
-                    entry.row = Some(row);
+            let recs = network.matches.values().map(|e| &e.rec);
+            let projected = network.projector.project(&eval_ctx, recs)?;
+            let rows: Vec<Vec<Value>> = projected.rows.into_iter().map(|(row, _)| row).collect();
+            if network.plain() {
+                for (entry, row) in network.matches.values_mut().zip(&rows) {
+                    entry.row = Some(row.clone());
                 }
             }
-            let recs: Vec<Record> = network.matches.values().map(|e| e.rec.clone()).collect();
-            project_rows_unordered(&eval_ctx, &cq.items, cq.distinct, &recs)
+            Ok(rows)
         })();
-        match seeded {
-            Ok(rows) if rowset_from(&rows) == view.rows => {
-                view.items = cq.items;
-                view.distinct = cq.distinct;
-                view.has_agg = view.items.iter().any(|(_, e)| e.contains_aggregate());
-                view.network = Some(network);
-            }
-            _ => {}
+        if matches!(seeded, Ok(rows) if rowset_from(&rows) == view.rows) {
+            view.network = Some(network);
         }
         view
     }
@@ -756,7 +744,7 @@ impl View {
             });
         }
         let eval_ctx = EvalCtx::new(shadow, &engine.params).with_match_mode(engine.match_mode);
-        if !self.has_agg && !self.distinct {
+        if network.plain() {
             // Plain views update row-by-row: removed matches contribute
             // their cached rows, added matches project fresh.
             let mut removed_rows = Vec::new();
@@ -776,10 +764,7 @@ impl View {
                 let Some(entry) = network.matches.get_mut(key) else {
                     continue;
                 };
-                let mut row = Vec::with_capacity(self.items.len());
-                for (_, expr) in &self.items {
-                    row.push(cypher_core::eval::eval(&eval_ctx, &entry.rec, expr)?);
-                }
+                let row = network.projector.row(&eval_ctx, &entry.rec)?;
                 entry.row = Some(row.clone());
                 added_rows.push(row);
             }
@@ -831,9 +816,9 @@ impl View {
         // Aggregate / DISTINCT views: recompute the output from the match
         // memory (grouping and aggregation are global, so any touched match
         // can shift any group) and diff against the previous rows.
-        let recs: Vec<Record> = network.matches.values().map(|e| e.rec.clone()).collect();
-        let rows = project_rows_unordered(&eval_ctx, &self.items, self.distinct, &recs)?;
-        let new_rows = rowset_from(&rows);
+        let recs = network.matches.values().map(|e| &e.rec);
+        let projected = network.projector.project(&eval_ctx, recs)?;
+        let new_rows = rowset_from(projected.rows.iter().map(|(row, _)| row));
         let (adds, removes) = diff_rowsets(&self.rows, &new_rows);
         self.rows = new_rows;
         Ok(ViewUpdate {

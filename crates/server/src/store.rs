@@ -824,15 +824,18 @@ impl SharedStore {
         }
     }
 
+    /// Count the job before sending it: the worker decrements as soon as
+    /// it receives, so counting after a successful send could let it
+    /// decrement first and wrap `queue_len` below zero.
     fn try_submit(&self, job: Job) -> Result<(), Busy> {
-        match self.tx.try_send(job) {
-            Ok(()) => {
-                self.queue_len.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(TrySendError::Full(_)) => Err(Busy("apply queue full")),
-            Err(TrySendError::Disconnected(_)) => Err(Busy("apply worker exited")),
-        }
+        self.queue_len.fetch_add(1, Ordering::Relaxed);
+        let refused = match self.tx.try_send(job) {
+            Ok(()) => return Ok(()),
+            Err(TrySendError::Full(_)) => Busy("apply queue full"),
+            Err(TrySendError::Disconnected(_)) => Busy("apply worker exited"),
+        };
+        self.queue_len.fetch_sub(1, Ordering::Relaxed);
+        Err(refused)
     }
 
     /// Stop the worker after it drains everything already queued. Blocking
@@ -841,8 +844,9 @@ impl SharedStore {
     pub fn shutdown(&self) {
         self.hub.disconnect_all();
         self.views.reset();
-        if self.tx.send(Job::Shutdown).is_ok() {
-            self.queue_len.fetch_add(1, Ordering::Relaxed);
+        self.queue_len.fetch_add(1, Ordering::Relaxed);
+        if self.tx.send(Job::Shutdown).is_err() {
+            self.queue_len.fetch_sub(1, Ordering::Relaxed);
         }
         if let Ok(mut guard) = self.worker.lock() {
             if let Some(h) = guard.take() {
@@ -1670,6 +1674,46 @@ mod tests {
                 sync_policy,
             },
         )
+    }
+
+    /// `queue_len` counts a job before sending it, so the worker's
+    /// decrement on receipt can never run first and wrap the counter: with
+    /// one outstanding job per submitter it never exceeds the queue cap
+    /// plus the submitter count, and it drains back to zero.
+    #[test]
+    fn queue_len_stays_bounded_under_submit_churn() {
+        const SUBMITTERS: u64 = 4;
+        let store = temp_store("queue-len", 1, 1, 8);
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let sampler = {
+            let (store, done) = (Arc::clone(&store), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut max = 0;
+                while !done.load(Ordering::Relaxed) {
+                    max = max.max(store.stats().queue_len);
+                    std::thread::yield_now();
+                }
+                max
+            })
+        };
+        let submitters: Vec<_> = (0..SUBMITTERS)
+            .map(|_| {
+                let store = Arc::clone(&store);
+                std::thread::spawn(move || {
+                    for _ in 0..500 {
+                        let _ = store.commit_log();
+                    }
+                })
+            })
+            .collect();
+        for s in submitters {
+            s.join().unwrap();
+        }
+        done.store(true, Ordering::Relaxed);
+        let max = sampler.join().unwrap();
+        assert!(max <= 1 + SUBMITTERS, "queue_len peaked at {max}");
+        assert_eq!(store.stats().queue_len, 0);
+        store.shutdown();
     }
 
     #[test]

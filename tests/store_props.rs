@@ -9,16 +9,34 @@ use cypher_graph::{fmt::dump, isomorphic, DeleteNodeMode, NodeId, PropertyGraph,
 // Value laws
 // ---------------------------------------------------------------------
 
+/// Numbers, weighted toward the boundaries where `i64` and `f64` disagree:
+/// ints within ±3 of ±2⁵³ collide pairwise as `f64`, and ±2⁵³, ±2⁶³ are
+/// the floats they round to.
+fn arb_number() -> impl Strategy<Value = Value> {
+    const TWO_53: i64 = 1 << 53;
+    prop_oneof![
+        any::<i64>().prop_map(Value::Int),
+        (prop::sample::select(vec![TWO_53, -TWO_53]), -3i64..=3)
+            .prop_map(|(base, d)| Value::Int(base + d)),
+        prop::sample::select(vec![i64::MIN, i64::MAX]).prop_map(Value::Int),
+        any::<i32>().prop_map(|i| Value::Float(f64::from(i) / 16.0)),
+        prop::sample::select(vec![
+            2f64.powi(53),
+            -(2f64.powi(53)),
+            2f64.powi(63),
+            -(2f64.powi(63))
+        ])
+        .prop_map(Value::Float),
+        Just(Value::Float(f64::NAN)),
+        Just(Value::Float(f64::INFINITY)),
+    ]
+}
+
 fn arb_value() -> impl Strategy<Value = Value> {
     let leaf = prop_oneof![
         Just(Value::Null),
         any::<bool>().prop_map(Value::Bool),
-        any::<i64>().prop_map(Value::Int),
-        prop_oneof![
-            any::<i32>().prop_map(|i| Value::Float(f64::from(i) / 16.0)),
-            Just(Value::Float(f64::NAN)),
-            Just(Value::Float(f64::INFINITY)),
-        ],
+        arb_number(),
         "[ -~]{0,8}".prop_map(Value::Str),
         (0u64..100).prop_map(|i| Value::Node(NodeId(i))),
     ];
@@ -63,11 +81,40 @@ proptest! {
         prop_assert_eq!(a.cypher_eq(&Value::Null), Ternary::Unknown);
     }
 
-    /// Equivalent values are global_cmp-equal (grouping and ordering agree).
+    /// Values are equivalent exactly when they are global_cmp-equal
+    /// (grouping and ordering agree), and `Ord` is that order.
     #[test]
     fn equivalence_agrees_with_global_order(a in arb_value(), b in arb_value()) {
-        if a.equivalent(&b) {
+        prop_assert_eq!(a.equivalent(&b), a.global_cmp(&b) == std::cmp::Ordering::Equal);
+        prop_assert_eq!(a.cmp(&b), a.global_cmp(&b));
+    }
+
+    /// Ternary-true `=` implies global_cmp-equality.
+    #[test]
+    fn equality_implies_global_order_equal(a in arb_value(), b in arb_value()) {
+        if a.cypher_eq(&b) == Ternary::True {
             prop_assert_eq!(a.global_cmp(&b), std::cmp::Ordering::Equal);
+        }
+    }
+}
+
+proptest! {
+    // Scalar draws are cheap; many cases make the colliding boundary pairs
+    // (2⁵³ vs 2⁵³ + 1) certain to come up.
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// On numbers, `<` agrees with the global order (away from `NaN`), and
+    /// equivalence and `=` agree with its `Equal`.
+    #[test]
+    fn numeric_comparison_agrees_with_global_order(a in arb_number(), b in arb_number()) {
+        use std::cmp::Ordering;
+        let is_nan = |v: &Value| matches!(v, Value::Float(f) if f.is_nan());
+        if !is_nan(&a) && !is_nan(&b) {
+            prop_assert_eq!(a.cypher_cmp(&b), Some(a.global_cmp(&b)));
+        }
+        prop_assert_eq!(a.equivalent(&b), a.global_cmp(&b) == Ordering::Equal);
+        if a.cypher_eq(&b) == Ternary::True {
+            prop_assert_eq!(a.global_cmp(&b), Ordering::Equal);
         }
     }
 }
