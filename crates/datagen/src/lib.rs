@@ -23,17 +23,39 @@ pub mod marketplace;
 pub mod random;
 pub mod tables;
 
+use cypher_graph::{NodeData, NodeId, PropertyGraph, PropertyMap, RelData, RelId, Symbol, Value};
+
 pub use marketplace::{figure1_graph, marketplace_graph, Figure1Nodes, MarketplaceConfig};
 
-/// Link two nodes a generator just created. Endpoints are always live
-/// here, so failure means the generator itself is broken.
-pub(crate) fn link(
-    g: &mut cypher_graph::PropertyGraph,
-    src: cypher_graph::NodeId,
-    ty: cypher_graph::Symbol,
-    tgt: cypher_graph::NodeId,
-) {
-    if g.create_rel(src, ty, tgt, []).is_err() {
+/// Add a node to a graph a generator is building. Generated state is
+/// committed state, so it goes in the way a snapshot load puts it: under
+/// the next free id, through the restore path, with no journal entry to
+/// undo.
+pub(crate) fn node<L, P>(g: &mut PropertyGraph, labels: L, props: P) -> NodeId
+where
+    L: IntoIterator<Item = Symbol>,
+    P: IntoIterator<Item = (Symbol, Value)>,
+{
+    let id = NodeId(g.next_ids().0);
+    let data = NodeData {
+        labels: labels.into_iter().collect(),
+        props: props.into_iter().collect(),
+    };
+    g.restore_node(id, data);
+    id
+}
+
+/// Link two nodes a generator just created, like [`node`]. Endpoints are
+/// always live here, so failure means the generator itself is broken.
+pub(crate) fn link(g: &mut PropertyGraph, src: NodeId, rel_type: Symbol, tgt: NodeId) {
+    let id = RelId(g.next_ids().1);
+    let data = RelData {
+        src,
+        tgt,
+        rel_type,
+        props: PropertyMap::new(),
+    };
+    if g.restore_rel(id, data).is_err() {
         unreachable!("generator linked a deleted node");
     }
 }

@@ -28,27 +28,33 @@ pub fn figure1_graph() -> (PropertyGraph, Figure1Nodes) {
     let id_k = g.sym("id");
     let name_k = g.sym("name");
 
-    let v1 = g.create_node(
+    let v1 = crate::node(
+        &mut g,
         [vendor],
         [(id_k, Value::Int(60)), (name_k, Value::str("cStore"))],
     );
-    let p1 = g.create_node(
+    let p1 = crate::node(
+        &mut g,
         [product],
         [(id_k, Value::Int(125)), (name_k, Value::str("laptop"))],
     );
-    let p2 = g.create_node(
+    let p2 = crate::node(
+        &mut g,
         [product],
         [(id_k, Value::Int(125)), (name_k, Value::str("notebook"))],
     );
-    let p3 = g.create_node(
+    let p3 = crate::node(
+        &mut g,
         [product],
         [(id_k, Value::Int(85)), (name_k, Value::str("tablet"))],
     );
-    let u1 = g.create_node(
+    let u1 = crate::node(
+        &mut g,
         [user],
         [(id_k, Value::Int(89)), (name_k, Value::str("Bob"))],
     );
-    let u2 = g.create_node(
+    let u2 = crate::node(
+        &mut g,
         [user],
         [(id_k, Value::Int(99)), (name_k, Value::str("Jane"))],
     );
@@ -115,7 +121,8 @@ pub fn marketplace_graph(cfg: &MarketplaceConfig) -> PropertyGraph {
 
     let users: Vec<NodeId> = (0..cfg.users)
         .map(|i| {
-            g.create_node(
+            crate::node(
+                &mut g,
                 [user],
                 [
                     (id_k, Value::Int(i as i64)),
@@ -126,7 +133,8 @@ pub fn marketplace_graph(cfg: &MarketplaceConfig) -> PropertyGraph {
         .collect();
     let vendors: Vec<NodeId> = (0..cfg.vendors)
         .map(|i| {
-            g.create_node(
+            crate::node(
+                &mut g,
                 [vendor],
                 [
                     (id_k, Value::Int(1_000 + i as i64)),
@@ -137,7 +145,8 @@ pub fn marketplace_graph(cfg: &MarketplaceConfig) -> PropertyGraph {
         .collect();
     let products: Vec<NodeId> = (0..cfg.products)
         .map(|i| {
-            g.create_node(
+            crate::node(
+                &mut g,
                 [product],
                 [
                     (id_k, Value::Int(10_000 + i as i64)),

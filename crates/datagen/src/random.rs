@@ -44,7 +44,7 @@ pub fn random_graph(cfg: &RandomGraphConfig) -> PropertyGraph {
     let nodes: Vec<NodeId> = (0..cfg.nodes)
         .map(|i| {
             let label = labels[rng.gen_range(0..labels.len())];
-            g.create_node([label], [(id_k, Value::Int(i as i64))])
+            crate::node(&mut g, [label], [(id_k, Value::Int(i as i64))])
         })
         .collect();
     if !nodes.is_empty() {
@@ -67,7 +67,7 @@ pub fn chain_graph(len: usize) -> PropertyGraph {
     let id_k = g.sym("id");
     let mut prev: Option<NodeId> = None;
     for i in 0..len {
-        let n = g.create_node([node_l], [(id_k, Value::Int(i as i64))]);
+        let n = crate::node(&mut g, [node_l], [(id_k, Value::Int(i as i64))]);
         if let Some(p) = prev {
             crate::link(&mut g, p, next_t, n);
         }

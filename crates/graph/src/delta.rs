@@ -5,10 +5,11 @@
 //! delete node and relationship, add and remove label, set property. They
 //! are spelled twice here, for two lifetimes:
 //!
-//! * [`DeltaOp`] is the **capture**: interned symbols, pushed by every
-//!   journaled mutation of a [`PropertyGraph`] with delta capture on, and
-//!   popped in lock-step with the undo journal on rollback. It is only
-//!   meaningful next to the graph (and interner) that produced it.
+//! * [`DeltaOp`] is the **capture**: interned symbols, the redo half of
+//!   every [`PropertyGraph`] journal entry. Rollback pops entries; a root
+//!   commit moves their redo halves to the graph's delta when capture is
+//!   on. It is only meaningful next to the graph (and interner) that
+//!   produced it.
 //! * [`Delta`] is the **interface between the writer and every consumer**:
 //!   labels, keys and types are owned strings, so a committed statement's
 //!   delta replays against any other graph — the WAL record payload, the
@@ -24,16 +25,16 @@ use crate::value::Value;
 /// One logical mutation in *redo* form, captured for write-ahead logging
 /// when [`PropertyGraph::enable_delta_capture`] is on.
 ///
-/// Delta entries mirror the undo journal one-to-one: every journaled
-/// mutation pushes exactly one `DeltaOp`, and [`PropertyGraph::rollback_to`]
-/// pops the two stacks in lock-step, so the pending delta is always exactly
-/// the net effect of operations that survived rollback. Compound mutations
-/// decompose into their primitives — `DETACH DELETE` records each cascaded
-/// relationship deletion as its own [`DeltaOp::DeleteRel`] before the
-/// [`DeltaOp::DeleteNode`], and `SET n = {map}` records one
-/// [`DeltaOp::SetProp`] per changed key — so replaying a delta in order
-/// through the primitive mutation APIs reproduces the state transition
-/// exactly, including mid-statement dangling phases of the legacy engine.
+/// Every mutation journals exactly one `DeltaOp` beside its before-image.
+/// [`PropertyGraph::rollback_to`] discards the entries it undoes, so the
+/// delta a root commit releases is exactly the net effect of operations
+/// that survived rollback. Compound mutations decompose into their
+/// primitives — `DETACH DELETE` records each cascaded relationship deletion
+/// as its own [`DeltaOp::DeleteRel`] before the [`DeltaOp::DeleteNode`],
+/// and `SET n = {map}` records one [`DeltaOp::SetProp`] per changed key —
+/// so replaying a delta in order through the primitive mutation APIs
+/// reproduces the state transition exactly, including mid-statement
+/// dangling phases of the legacy engine.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DeltaOp {
     CreateNode {

@@ -10,8 +10,10 @@
 //! * **tombstones** for deleted entities — required to reproduce the legacy
 //!   (§4.2) behaviour where deleted entities remain addressable "zombies"
 //!   and relationships may dangle mid-statement,
-//! * an **undo journal** with savepoints, so a failing statement can be
-//!   rolled back atomically (see [`crate::txn`]).
+//! * one **journal** with savepoints: each entry is a mutation's redo op
+//!   ([`DeltaOp`]) plus the before-image its undo needs, so a failing
+//!   statement rolls back atomically (see [`crate::txn`]) and a committed
+//!   one hands its redo ops to the durability layer.
 //!
 //! Iteration orders are deterministic everywhere (`BTreeMap`/`BTreeSet`,
 //! insertion-ordered adjacency): the paper is about *semantic*
@@ -219,13 +221,14 @@ pub enum DeleteNodeMode {
     Force,
 }
 
-/// One reversible mutation, recorded in the undo journal.
+/// The undo-only half of a journal entry: what its redo op cannot rebuild.
 #[derive(Clone, Debug)]
-pub(crate) enum UndoOp {
-    CreateNode(NodeId),
-    CreateRel(RelId),
-    DeleteRel {
-        id: RelId,
+enum Undo {
+    /// Creations and label changes are undone from the redo op alone.
+    Nothing,
+    /// `SetProp`: the key's previous value (`None` if it was absent).
+    OldValue(Option<Value>),
+    DeletedRel {
         data: RelData,
         /// Position the rel occupied in its source's outgoing adjacency list
         /// (`None` if the source was already tombstoned).
@@ -233,24 +236,10 @@ pub(crate) enum UndoOp {
         /// Position in the target's incoming adjacency list.
         tgt_pos: Option<usize>,
     },
-    DeleteNode {
-        id: NodeId,
+    DeletedNode {
         data: NodeData,
         out: Vec<RelId>,
         inc: Vec<RelId>,
-    },
-    AddLabel {
-        node: NodeId,
-        label: Symbol,
-    },
-    RemoveLabel {
-        node: NodeId,
-        label: Symbol,
-    },
-    SetProp {
-        entity: EntityRef,
-        key: Symbol,
-        old: Option<Value>,
     },
 }
 
@@ -281,7 +270,7 @@ impl Clone for PropIndex {
     }
 }
 
-/// An in-memory property graph with tombstones and an undo journal.
+/// An in-memory property graph with tombstones and a journal.
 #[derive(Clone, Debug, Default)]
 pub struct PropertyGraph {
     interner: Interner,
@@ -300,11 +289,13 @@ pub struct PropertyGraph {
     rel_type_counts: BTreeMap<Symbol, usize>,
     next_node: u64,
     next_rel: u64,
-    journal: Vec<UndoOp>,
-    /// Redo log mirroring `journal` (see [`DeltaOp`]); populated only while
-    /// `delta_enabled`, drained by the durability layer after each commit.
-    delta: Vec<DeltaOp>,
-    delta_enabled: bool,
+    /// Every mutation since the last root commit, oldest first, ARIES-style:
+    /// the redo op a root commit hands to the delta, and its undo half.
+    journal: Vec<(DeltaOp, Undo)>,
+    /// Redo ops of root-committed entries while delta capture is on
+    /// (`None` when off), drained by the durability layer after each
+    /// statement.
+    delta: Option<Vec<DeltaOp>>,
 }
 
 impl PropertyGraph {
@@ -792,17 +783,15 @@ impl PropertyGraph {
         }
         let data = NodeData { labels, props };
         self.index_node_full(id, &data);
-        if self.delta_enabled {
-            self.delta.push(DeltaOp::CreateNode {
-                id,
-                labels: data.labels.iter().copied().collect(),
-                props: data.props.iter().map(|(&k, v)| (k, v.clone())).collect(),
-            });
-        }
+        let redo = DeltaOp::CreateNode {
+            id,
+            labels: data.labels.iter().copied().collect(),
+            props: data.props.iter().map(|(&k, v)| (k, v.clone())).collect(),
+        };
         self.nodes.insert(id, data);
         self.out_adj.insert(id, AdjList::default());
         self.in_adj.insert(id, AdjList::default());
-        self.journal.push(UndoOp::CreateNode(id));
+        self.journal.push((redo, Undo::Nothing));
         id
     }
 
@@ -829,15 +818,13 @@ impl PropertyGraph {
             .into_iter()
             .filter(|(_, v)| !v.is_null() && Self::storable(v))
             .collect();
-        if self.delta_enabled {
-            self.delta.push(DeltaOp::CreateRel {
-                id,
-                src,
-                tgt,
-                rel_type,
-                props: props.iter().map(|(&k, v)| (k, v.clone())).collect(),
-            });
-        }
+        let redo = DeltaOp::CreateRel {
+            id,
+            src,
+            tgt,
+            rel_type,
+            props: props.iter().map(|(&k, v)| (k, v.clone())).collect(),
+        };
         self.rels.insert(
             id,
             RelData {
@@ -857,7 +844,7 @@ impl PropertyGraph {
             .or_default()
             .push(id, rel_type, is_loop);
         *self.rel_type_counts.entry(rel_type).or_default() += 1;
-        self.journal.push(UndoOp::CreateRel(id));
+        self.journal.push((redo, Undo::Nothing));
         Ok(id)
     }
 
@@ -870,15 +857,14 @@ impl PropertyGraph {
         let tgt_pos = self.detach_from_adj(&data, id, Direction::Incoming);
         self.note_rel_removed(data.rel_type);
         self.tomb_rels.insert(id);
-        if self.delta_enabled {
-            self.delta.push(DeltaOp::DeleteRel { id });
-        }
-        self.journal.push(UndoOp::DeleteRel {
-            id,
-            data,
-            src_pos,
-            tgt_pos,
-        });
+        self.journal.push((
+            DeltaOp::DeleteRel { id },
+            Undo::DeletedRel {
+                data,
+                src_pos,
+                tgt_pos,
+            },
+        ));
         Ok(())
     }
 
@@ -937,10 +923,10 @@ impl PropertyGraph {
         let out = self.out_adj.remove(&id).unwrap_or_default().all;
         let inc = self.in_adj.remove(&id).unwrap_or_default().all;
         self.tomb_nodes.insert(id);
-        if self.delta_enabled {
-            self.delta.push(DeltaOp::DeleteNode { id });
-        }
-        self.journal.push(UndoOp::DeleteNode { id, data, out, inc });
+        self.journal.push((
+            DeltaOp::DeleteNode { id },
+            Undo::DeletedNode { data, out, inc },
+        ));
         Ok(cascaded)
     }
 
@@ -954,10 +940,8 @@ impl PropertyGraph {
         if changed {
             self.label_index.entry(label).or_default().insert(node);
             self.reindex_label(node, label, true);
-            if self.delta_enabled {
-                self.delta.push(DeltaOp::AddLabel { node, label });
-            }
-            self.journal.push(UndoOp::AddLabel { node, label });
+            self.journal
+                .push((DeltaOp::AddLabel { node, label }, Undo::Nothing));
         }
         Ok(changed)
     }
@@ -974,10 +958,8 @@ impl PropertyGraph {
                 set.remove(&node);
             }
             self.reindex_label(node, label, false);
-            if self.delta_enabled {
-                self.delta.push(DeltaOp::RemoveLabel { node, label });
-            }
-            self.journal.push(UndoOp::RemoveLabel { node, label });
+            self.journal
+                .push((DeltaOp::RemoveLabel { node, label }, Undo::Nothing));
         }
         Ok(changed)
     }
@@ -998,8 +980,8 @@ impl PropertyGraph {
             Some(value.clone())
         };
         // A write that changes nothing is a complete no-op: no journal
-        // entry, no delta op (the contract is one `SetProp` per *changed*
-        // key — label ops already behave this way), no index churn.
+        // entry (the contract is one `SetProp` per *changed* key — label ops
+        // already behave this way), no index churn.
         {
             let map = self.props_mut(entity)?;
             let unchanged = match &new_for_index {
@@ -1026,14 +1008,14 @@ impl PropertyGraph {
                 self.reindex_prop(n, &labels, key, old.as_ref(), new_for_index.as_ref());
             }
         }
-        if self.delta_enabled {
-            self.delta.push(DeltaOp::SetProp {
+        self.journal.push((
+            DeltaOp::SetProp {
                 entity,
                 key,
                 value: new_for_index,
-            });
-        }
-        self.journal.push(UndoOp::SetProp { entity, key, old });
+            },
+            Undo::OldValue(old),
+        ));
         Ok(())
     }
 
@@ -1091,16 +1073,10 @@ impl PropertyGraph {
         while self.journal.len() > sp.0 {
             // The loop condition guarantees the journal is longer than the
             // savepoint mark, so there is always an entry to pop.
-            let Some(op) = self.journal.pop() else { break };
-            if self.delta_enabled {
-                // Journal and delta are pushed in lock-step, so popping one
-                // redo entry per undo entry discards exactly the rolled-back
-                // operations from the pending delta.
-                if self.delta.pop().is_none() {
-                    unreachable!("delta mirrors journal");
-                }
-            }
-            self.undo(op);
+            let Some(entry) = self.journal.pop() else {
+                break;
+            };
+            self.undo(entry);
         }
     }
 
@@ -1113,12 +1089,16 @@ impl PropertyGraph {
     }
 
     /// Forget journal entries after `sp` (they can no longer be undone).
-    /// Forgetting from the very beginning clears the journal entirely.
+    /// Forgetting from the very beginning empties the journal: the redo
+    /// halves move to the delta while capture is on and are dropped
+    /// otherwise.
     pub fn commit(&mut self, sp: Savepoint) {
         debug_assert!(sp.0 <= self.journal.len());
         if sp.0 == 0 {
-            self.journal.clear();
-            self.journal.shrink_to_fit();
+            let entries = std::mem::take(&mut self.journal);
+            if let Some(delta) = &mut self.delta {
+                delta.extend(entries.into_iter().map(|(redo, _)| redo));
+            }
         }
         // Entries between an outer savepoint and the journal head must stay,
         // so that an enclosing rollback can still undo them; only a root
@@ -1134,49 +1114,34 @@ impl PropertyGraph {
     // Delta capture (redo log for the durability layer)
     // ------------------------------------------------------------------
 
-    /// Start recording a [`DeltaOp`] redo log alongside the undo journal.
-    ///
-    /// Must be called at a statement boundary (empty journal): the lock-step
-    /// invariant between journal and delta only holds for operations
-    /// recorded after capture begins.
+    /// Keep the redo ops of every later root commit as the delta.
     pub fn enable_delta_capture(&mut self) {
-        assert!(
-            self.journal.is_empty(),
-            "delta capture must start at a statement boundary"
-        );
-        self.delta_enabled = true;
-        self.delta.clear();
+        self.delta = Some(Vec::new());
     }
 
     /// Stop recording and discard any pending delta.
     pub fn disable_delta_capture(&mut self) {
-        self.delta_enabled = false;
-        self.delta.clear();
+        self.delta = None;
     }
 
     pub fn delta_capture_enabled(&self) -> bool {
-        self.delta_enabled
+        self.delta.is_some()
     }
 
-    /// The redo entries of all operations recorded since the last
-    /// [`Self::take_delta`] that were not rolled back.
+    /// The redo ops root-committed since the last [`Self::take_delta`], in
+    /// execution order; rolled-back operations never reach it.
     pub fn delta(&self) -> &[DeltaOp] {
-        &self.delta
+        self.delta.as_deref().unwrap_or_default()
     }
 
-    /// Move the pending delta out — called by the durability layer once a
-    /// statement has committed. Only valid at a statement boundary (empty
-    /// journal), otherwise a later rollback would desynchronise the stacks.
+    /// Move the committed delta out — called by the durability layer once a
+    /// statement has committed.
     pub fn take_delta(&mut self) -> Vec<DeltaOp> {
-        debug_assert!(
-            self.journal.is_empty(),
-            "delta taken mid-statement would desynchronise rollback"
-        );
-        std::mem::take(&mut self.delta)
+        self.delta.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     // ------------------------------------------------------------------
-    // Restore (recovery-only; not journaled, not delta-captured)
+    // Restore (snapshot loads, replay, generators; not journaled)
     // ------------------------------------------------------------------
 
     /// Insert a node under an explicit id, as read from a snapshot. The id
@@ -1268,9 +1233,9 @@ impl PropertyGraph {
         &self.interner
     }
 
-    fn undo(&mut self, op: UndoOp) {
-        match op {
-            UndoOp::CreateNode(id) => {
+    fn undo(&mut self, entry: (DeltaOp, Undo)) {
+        match entry {
+            (DeltaOp::CreateNode { id, .. }, _) => {
                 let Some(data) = self.nodes.remove(&id) else {
                     unreachable!("undo create: node {id} exists");
                 };
@@ -1294,7 +1259,7 @@ impl PropertyGraph {
                     self.next_node = id.0;
                 }
             }
-            UndoOp::CreateRel(id) => {
+            (DeltaOp::CreateRel { id, .. }, _) => {
                 let Some(data) = self.rels.remove(&id) else {
                     unreachable!("undo create: rel {id} exists");
                 };
@@ -1312,12 +1277,14 @@ impl PropertyGraph {
                     self.next_rel = id.0;
                 }
             }
-            UndoOp::DeleteRel {
-                id,
-                data,
-                src_pos,
-                tgt_pos,
-            } => {
+            (
+                DeltaOp::DeleteRel { id },
+                Undo::DeletedRel {
+                    data,
+                    src_pos,
+                    tgt_pos,
+                },
+            ) => {
                 let is_loop = data.src == data.tgt;
                 if let Some(pos) = src_pos {
                     if let Some(list) = self.out_adj.get_mut(&data.src) {
@@ -1333,7 +1300,7 @@ impl PropertyGraph {
                 self.rels.insert(id, data);
                 self.tomb_rels.remove(&id);
             }
-            UndoOp::DeleteNode { id, data, out, inc } => {
+            (DeltaOp::DeleteNode { id }, Undo::DeletedNode { data, out, inc }) => {
                 for &l in &data.labels {
                     self.label_index.entry(l).or_default().insert(id);
                 }
@@ -1347,7 +1314,7 @@ impl PropertyGraph {
                 self.in_adj.insert(id, inc);
                 self.tomb_nodes.remove(&id);
             }
-            UndoOp::AddLabel { node, label } => {
+            (DeltaOp::AddLabel { node, label }, _) => {
                 if let Some(d) = self.nodes.get_mut(&node) {
                     d.labels.remove(&label);
                 }
@@ -1356,14 +1323,14 @@ impl PropertyGraph {
                 }
                 self.reindex_label(node, label, false);
             }
-            UndoOp::RemoveLabel { node, label } => {
+            (DeltaOp::RemoveLabel { node, label }, _) => {
                 if let Some(d) = self.nodes.get_mut(&node) {
                     d.labels.insert(label);
                 }
                 self.label_index.entry(label).or_default().insert(node);
                 self.reindex_label(node, label, true);
             }
-            UndoOp::SetProp { entity, key, old } => {
+            (DeltaOp::SetProp { entity, key, .. }, Undo::OldValue(old)) => {
                 // The entity may have been deleted and restored by an
                 // earlier undo step in the same rollback; it must exist now.
                 let mut replaced: Option<Value> = None;
@@ -1384,6 +1351,9 @@ impl PropertyGraph {
                     }
                 }
             }
+            // Every deletion and `SetProp` is journaled with its own
+            // before-image.
+            (redo, _) => unreachable!("{redo:?} journaled without its before-image"),
         }
     }
 }

@@ -9,7 +9,8 @@
 //! * [`interner`] — interning of labels, relationship types and property keys,
 //! * [`value`] — the Cypher value system with ternary logic,
 //! * [`graph`] — the store itself ([`PropertyGraph`]): adjacency and label
-//!   indexes, tombstones for legacy "zombie" semantics, and an undo journal,
+//!   indexes, tombstones for legacy "zombie" semantics, and a redo/undo
+//!   journal,
 //! * [`delta`] — the mutation vocabulary: the seven primitive updates as
 //!   captured ([`DeltaOp`]) and as shipped to every consumer ([`Delta`]),
 //!   with the one conversion and the one replay ([`apply_delta`]),

@@ -16,7 +16,7 @@
 
 use std::ops::{Deref, DerefMut};
 
-use crate::error::{GraphError, Result};
+use crate::error::Result;
 use crate::graph::{PropertyGraph, Savepoint};
 
 /// An open statement transaction. Rolls back on drop unless committed.
@@ -55,22 +55,10 @@ impl<'g> Transaction<'g> {
         }
     }
 
-    /// Commit without the integrity check (used by tests that need to
-    /// inspect illegal intermediate states).
-    pub fn commit_unchecked(mut self) {
-        self.graph.commit(self.sp);
-        self.finished = true;
-    }
-
     /// Explicitly roll back.
     pub fn rollback(mut self) {
         self.graph.rollback_to(self.sp);
         self.finished = true;
-    }
-
-    /// The dangling relationships that would make a commit fail right now.
-    pub fn pending_violation(&self) -> Option<GraphError> {
-        self.graph.integrity_check().err()
     }
 }
 
@@ -98,6 +86,7 @@ impl DerefMut for Transaction<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::GraphError;
     use crate::graph::DeleteNodeMode;
     use crate::value::Value;
 
@@ -137,7 +126,7 @@ mod tests {
         let tx_result = {
             let mut tx = Transaction::begin(&mut g);
             tx.delete_node(a, DeleteNodeMode::Force).unwrap();
-            assert!(tx.pending_violation().is_some());
+            assert!(tx.integrity_check().is_err());
             tx.commit()
         };
         assert!(matches!(
@@ -160,18 +149,5 @@ mod tests {
         };
         tx.rollback();
         assert!(g.contains_node(n));
-    }
-
-    #[test]
-    fn commit_unchecked_allows_illegal_state() {
-        let mut g = PropertyGraph::new();
-        let t = g.sym("T");
-        let a = g.create_node([], []);
-        let b = g.create_node([], []);
-        g.create_rel(a, t, b, []).unwrap();
-        let mut tx = Transaction::begin(&mut g);
-        tx.delete_node(a, DeleteNodeMode::Force).unwrap();
-        tx.commit_unchecked();
-        assert_eq!(g.dangling_rels().len(), 1);
     }
 }

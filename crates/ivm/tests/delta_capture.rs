@@ -71,10 +71,10 @@ fn set_map_emits_one_setprop_per_changed_key() {
     assert_eq!(set, vec!["city".to_owned()]);
 }
 
-/// A rolled-back statement contributes nothing: the pending delta is
-/// rewound in lock-step with the journal, and the id allocators return to
-/// their pre-statement positions so replicas replaying only committed
-/// statements allocate identically.
+/// A rolled-back statement contributes nothing: its journal entries are
+/// popped before a root commit could release them, and the id allocators
+/// return to their pre-statement positions so replicas replaying only
+/// committed statements allocate identically.
 #[test]
 fn rollback_rewinds_delta_and_id_allocators() {
     let (engine, mut g) = seeded();

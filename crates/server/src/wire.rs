@@ -32,7 +32,7 @@
 //! | `0x10` | UnsubscribeQuery | C→S | `u64` view id — sent on the delta stream to end it cleanly |
 //! | `0x81` | HelloOk     | S→C | `u16` version, `u64` session id, effective-limits string |
 //! | `0x82` | RunOk       | S→C | `u8` read-only flag, `u64` epoch, column names |
-//! | `0x83` | Rows        | S→C | row block, `u8` has-more flag, 7×`u64` update stats (nodes created, rels created, nodes deleted, rels deleted, props set, labels added, labels removed) |
+//! | `0x83` | Rows        | S→C | row block (values nested at most `MAX_VALUE_DEPTH` = 1 024 lists/maps deep), `u8` has-more flag, 7×`u64` update stats (nodes created, rels created, nodes deleted, rels deleted, props set, labels added, labels removed) |
 //! | `0x84` | CommitOk    | S→C | — |
 //! | `0x85` | ResetOk     | S→C | — |
 //! | `0x86` | Bye         | S→C | — (also acknowledges Shutdown) |
@@ -46,11 +46,13 @@
 //! | `0x8E` | FenceOk     | S→C | — |
 //! | `0x8F` | Error       | S→C | `u16` code, `u8` retryable, message, detail |
 //! | `0x90` | SubscribeQueryOk | S→C | `u64` view id, `u64` epoch, `u8` fallback flag, column names — the initial rows follow as the first `ViewDelta` |
-//! | `0x91` | ViewDelta   | S→C | 3×`u64` (view id, statement sequence, epoch), add then remove row bags (row, `u64` multiplicity); an empty batch is the idle keepalive |
+//! | `0x91` | ViewDelta   | S→C | 3×`u64` (view id, statement sequence, epoch), add then remove row bags (row, `u64` multiplicity; same nesting cap as `Rows`); an empty batch is the idle keepalive |
 //!
 //! Values use a tagged encoding covering the full
 //! [`Value`](cypher_graph::Value) enum; nodes, relationships and paths
 //! travel as their numeric ids (the graph vocabulary is server-side).
+//! Lists and maps nest at most [`MAX_VALUE_DEPTH`] levels deep; a deeper
+//! value is a protocol error, so no frame can exhaust the decoder's stack.
 
 use std::io::{self, Read, Write};
 
@@ -67,6 +69,11 @@ pub const PROTOCOL_VERSION: u16 = 1;
 /// Upper bound on a frame payload; anything larger is a protocol error
 /// (protects the peer from a corrupted length prefix).
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
+
+/// Deepest list/map nesting a decoded value may have: `MAX_VALUE_DEPTH`
+/// nested lists decode, one more is a protocol error. Above what a parsed
+/// literal can build on a session thread, and decodable on a 2 MiB stack.
+pub const MAX_VALUE_DEPTH: usize = 1024;
 
 /// A client-to-server message.
 #[derive(Clone, Debug, PartialEq)]
@@ -495,16 +502,20 @@ impl<'a> Reader<'a> {
         Ok(self.take(len)?.to_vec())
     }
 
+    fn row(&mut self) -> WireResult<Vec<Value>> {
+        let w = self.u32()? as usize;
+        let mut row = Vec::with_capacity(w.min(4096));
+        for _ in 0..w {
+            row.push(self.value(0)?);
+        }
+        Ok(row)
+    }
+
     fn row_bag(&mut self) -> WireResult<Vec<(Vec<Value>, u64)>> {
         let n = self.u32()? as usize;
         let mut bag = Vec::with_capacity(n.min(4096));
         for _ in 0..n {
-            let w = self.u32()? as usize;
-            let mut row = Vec::with_capacity(w.min(4096));
-            for _ in 0..w {
-                row.push(self.value()?);
-            }
-            bag.push((row, self.u64()?));
+            bag.push((self.row()?, self.u64()?));
         }
         Ok(bag)
     }
@@ -518,30 +529,44 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    fn value(&mut self) -> WireResult<Value> {
-        Ok(match self.u8()? {
+    /// One value nested inside `depth` lists/maps. Only the container arms
+    /// recurse, and they keep this frame small: [`MAX_VALUE_DEPTH`] levels
+    /// must fit a 2 MiB thread stack in a debug build.
+    fn value(&mut self, depth: usize) -> WireResult<Value> {
+        let tag = self.u8()?;
+        if !matches!(tag, 0x05 | 0x06) {
+            return self.leaf(tag);
+        }
+        if depth >= MAX_VALUE_DEPTH {
+            return Err(WireError::protocol(format!(
+                "value nested deeper than {MAX_VALUE_DEPTH} levels"
+            )));
+        }
+        let n = self.u32()? as usize;
+        if tag == 0x05 {
+            let mut items = Vec::with_capacity(n.min(4096));
+            for _ in 0..n {
+                items.push(self.value(depth + 1)?);
+            }
+            Ok(Value::List(items))
+        } else {
+            let mut entries = std::collections::BTreeMap::new();
+            for _ in 0..n {
+                let k = self.str()?;
+                entries.insert(k, self.value(depth + 1)?);
+            }
+            Ok(Value::Map(entries))
+        }
+    }
+
+    /// A value that contains no other value.
+    fn leaf(&mut self, tag: u8) -> WireResult<Value> {
+        Ok(match tag {
             0x00 => Value::Null,
             0x01 => Value::Bool(self.u8()? != 0),
             0x02 => Value::Int(self.u64()? as i64),
             0x03 => Value::Float(f64::from_bits(self.u64()?)),
             0x04 => Value::Str(self.str()?),
-            0x05 => {
-                let n = self.u32()? as usize;
-                let mut items = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    items.push(self.value()?);
-                }
-                Value::List(items)
-            }
-            0x06 => {
-                let n = self.u32()? as usize;
-                let mut entries = std::collections::BTreeMap::new();
-                for _ in 0..n {
-                    let k = self.str()?;
-                    entries.insert(k, self.value()?);
-                }
-                Value::Map(entries)
-            }
             0x07 => Value::Node(cypher_graph::NodeId(self.u64()?)),
             0x08 => Value::Rel(cypher_graph::RelId(self.u64()?)),
             0x09 => {
@@ -852,12 +877,7 @@ impl Response {
                 let n = r.u32()? as usize;
                 let mut rows = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
-                    let w = r.u32()? as usize;
-                    let mut row = Vec::with_capacity(w.min(4096));
-                    for _ in 0..w {
-                        row.push(r.value()?);
-                    }
-                    rows.push(row);
+                    rows.push(r.row()?);
                 }
                 let has_more = r.u8()? != 0;
                 let mut stats = [0u64; 7];

@@ -9,8 +9,10 @@ use std::io::{Cursor, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use cypher_graph::Value;
 use cypher_server::wire::{
-    read_frame, write_frame, Request, Response, MAX_FRAME, PROTOCOL_VERSION,
+    read_frame, write_frame, Request, Response, WireError, MAX_FRAME, MAX_VALUE_DEPTH,
+    PROTOCOL_VERSION,
 };
 use cypher_server::{serve, ServerConfig};
 
@@ -187,6 +189,59 @@ fn oversize_length_prefix_is_refused() {
         err.to_string().contains("MAX_FRAME"),
         "expected the length-bound error, got: {err}"
     );
+}
+
+/// A `Rows` frame carrying one value nested `depth` lists deep.
+fn nested_rows(depth: usize) -> Response {
+    let mut value = Value::Int(1);
+    for _ in 0..depth {
+        value = Value::List(vec![value]);
+    }
+    Response::Rows {
+        rows: vec![vec![value]],
+        has_more: false,
+        stats: [0; 7],
+    }
+}
+
+/// A value at the nesting cap decodes, one level more is a protocol error
+/// — on a 2 MiB thread, the stack a session or tailer thread gets.
+#[test]
+fn value_nesting_is_capped() {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            let at_cap = nested_rows(MAX_VALUE_DEPTH);
+            assert_eq!(Response::decode(&at_cap.encode()).unwrap(), at_cap);
+            let over = nested_rows(MAX_VALUE_DEPTH + 1).encode();
+            assert!(matches!(
+                Response::decode(&over),
+                Err(WireError::Protocol(_))
+            ));
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+/// A 1 MB `Rows` payload of 200 000 nested list headers is refused with a
+/// typed error instead of recursing once per header.
+#[test]
+fn deeply_nested_frame_is_a_typed_error() {
+    let mut payload = vec![0x83];
+    payload.extend_from_slice(&1u32.to_le_bytes()); // one row
+    payload.extend_from_slice(&1u32.to_le_bytes()); // of one value
+    for _ in 0..200_000 {
+        payload.push(0x05);
+        payload.extend_from_slice(&1u32.to_le_bytes());
+    }
+    payload.push(0x00);
+    payload.push(0);
+    payload.extend_from_slice(&[0; 7 * 8]);
+    assert!(matches!(
+        Response::decode(&payload),
+        Err(WireError::Protocol(_))
+    ));
 }
 
 /// A live server fed a truncated frame must drop the connection promptly —

@@ -469,12 +469,13 @@ impl DurableGraph {
     /// unwound through a mutation closure.
     ///
     /// The engine's transaction RAII already rolls back the in-memory
-    /// mutations (journal and delta shrink in lock-step during unwind), so
-    /// in the common case this is a no-op. If the panic struck outside a
-    /// transaction scope and left residue behind, the graph is rolled back
-    /// to the last statement boundary; if un-logged delta remains even so,
-    /// the handle seals — a checkpoint then reconciles, exactly as for a
-    /// failed append.
+    /// mutations (unwinding pops their journal entries before any reach
+    /// the delta), so in the common case this is a no-op. If the panic
+    /// struck outside a transaction scope and left residue behind, the
+    /// graph is rolled back to the last statement boundary; if a
+    /// root-committed but un-logged delta remains even so, the handle
+    /// seals — a checkpoint then reconciles, exactly as for a failed
+    /// append.
     pub fn reconcile_after_panic(&mut self) {
         if self.graph.journal_len() != 0 {
             self.graph.rollback_all();

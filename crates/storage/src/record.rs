@@ -20,7 +20,8 @@
 //! i64            as 8 bytes LE (two's complement)
 //! f64            as 8 bytes LE (IEEE-754 bit pattern)
 //! string         u32 length + UTF-8 bytes
-//! value          1 tag byte + body (see `encode_value`)
+//! value          1 tag byte + body (see `encode_value`); the elements
+//!                of a list are scalars, never lists
 //! props          u32 count + (string key, value) pairs
 //! labels         u32 count + strings
 //!
@@ -216,16 +217,11 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("invalid UTF-8 in record string"))
     }
 
+    /// A property value: a scalar or a list of scalars, exactly the shapes
+    /// [`Value::storable_as_property`] admits. A list inside a list is
+    /// corrupt, so decoding never recurses.
     pub(crate) fn value(&mut self) -> io::Result<Value> {
         match self.u8()? {
-            VTAG_BOOL => match self.u8()? {
-                0 => Ok(Value::Bool(false)),
-                1 => Ok(Value::Bool(true)),
-                b => Err(corrupt(format!("invalid bool byte {b:#x}"))),
-            },
-            VTAG_INT => Ok(Value::Int(self.i64()?)),
-            VTAG_FLOAT => Ok(Value::Float(f64::from_bits(self.u64()?))),
-            VTAG_STR => Ok(Value::Str(self.str()?)),
             VTAG_LIST => {
                 let n = self.u32()? as usize;
                 // Each element is at least 2 bytes; reject absurd counts
@@ -235,10 +231,26 @@ impl<'a> Reader<'a> {
                 }
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
-                    items.push(self.value()?);
+                    let tag = self.u8()?;
+                    items.push(self.scalar(tag)?);
                 }
                 Ok(Value::List(items))
             }
+            tag => self.scalar(tag),
+        }
+    }
+
+    fn scalar(&mut self, tag: u8) -> io::Result<Value> {
+        match tag {
+            VTAG_BOOL => match self.u8()? {
+                0 => Ok(Value::Bool(false)),
+                1 => Ok(Value::Bool(true)),
+                b => Err(corrupt(format!("invalid bool byte {b:#x}"))),
+            },
+            VTAG_INT => Ok(Value::Int(self.i64()?)),
+            VTAG_FLOAT => Ok(Value::Float(f64::from_bits(self.u64()?))),
+            VTAG_STR => Ok(Value::Str(self.str()?)),
+            VTAG_LIST => Err(corrupt("list nested in a list")),
             t => Err(corrupt(format!("unknown value tag {t:#x}"))),
         }
     }
@@ -577,6 +589,37 @@ mod tests {
             record.encode(&mut buf);
             assert_eq!(buf, bytes, "encode {record:?}");
         }
+    }
+
+    /// Properties hold scalars or lists of scalars, so a list inside a list
+    /// is corrupt. Nesting of any depth is refused at its second level,
+    /// without recursing once per level.
+    #[test]
+    fn nested_lists_are_corrupt() {
+        let set_prop_of = |value: &[u8]| {
+            let mut payload = b"\x16\0\0\0\0\0\0\0\0\0\x01\0\0\0k\x01".to_vec();
+            payload.extend_from_slice(value);
+            payload
+        };
+        let one_list = set_prop_of(b"\x05\x01\0\0\0\x02\x01\0\0\0\0\0\0\0");
+        assert_eq!(
+            Record::decode(&one_list).unwrap(),
+            set_prop(
+                EntityRef::Node(NodeId(0)),
+                Some(Value::List(vec![Value::Int(1)]))
+            )
+        );
+        let list_in_list = set_prop_of(b"\x05\x01\0\0\0\x05\x01\0\0\0\x02\x01\0\0\0\0\0\0\0");
+        let err = Record::decode(&list_in_list).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+
+        let mut deep = Vec::new();
+        for _ in 0..200_000 {
+            deep.extend_from_slice(b"\x05\x01\0\0\0");
+        }
+        deep.extend_from_slice(b"\x02\x01\0\0\0\0\0\0\0");
+        let err = Record::decode(&set_prop_of(&deep)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

@@ -33,13 +33,11 @@ if ! command -v cargo >/dev/null 2>&1; then
     exit 1
 fi
 
-# Tier-1: the gate the repo must always pass.
+# Tier-1: the gate the repo must always pass. The test step includes the
+# fault-injection torture sweep (one run per fallible filesystem operation
+# of the workload; see tests/storage_torture.rs).
 run "build (release)" cargo build --release --offline
 run "test" cargo test -q --offline
-
-# Robustness: the fault-injection torture sweep (one run per fallible
-# filesystem operation of the workload; see tests/storage_torture.rs).
-run "torture" cargo test -q --offline --test storage_torture
 
 # Bench crate is excluded from default-members; make sure it still compiles.
 run "build (workspace incl. bench)" cargo build --workspace --offline

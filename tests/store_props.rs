@@ -3,7 +3,10 @@
 
 use proptest::prelude::*;
 
-use cypher_graph::{fmt::dump, isomorphic, DeleteNodeMode, NodeId, PropertyGraph, Ternary, Value};
+use cypher_graph::{
+    apply_delta, fmt::dump, isomorphic, DeleteNodeMode, Delta, NodeId, PropertyGraph, Ternary,
+    Value,
+};
 
 // ---------------------------------------------------------------------
 // Value laws
@@ -209,22 +212,88 @@ fn apply_ops(g: &mut PropertyGraph, ops: &[Op]) {
     }
 }
 
+/// Everything rollback and delta replay promise to reproduce: entities and
+/// properties, per-node adjacency order, tombstones and the id allocators.
+fn fingerprint(g: &PropertyGraph) -> String {
+    let adjacency: Vec<_> = g
+        .node_ids()
+        .map(|n| (n, g.rels_out(n).to_vec(), g.rels_in(n).to_vec()))
+        .collect();
+    format!(
+        "{}adjacency {adjacency:?}\ntombstones {:?} {:?}\nnext ids {:?}\n",
+        dump(g),
+        g.tomb_node_ids().collect::<Vec<_>>(),
+        g.tomb_rel_ids().collect::<Vec<_>>(),
+        g.next_ids(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Rolling back to a savepoint restores the exact pre-savepoint state,
     /// for arbitrary mutation scripts (including force-deletes that leave
-    /// dangling relationships).
+    /// dangling relationships), with delta capture on: the rolled-back
+    /// mutation leaves the captured delta as it was.
     #[test]
     fn rollback_restores_exactly(setup in arb_ops(), mutation in arb_ops()) {
         let mut g = PropertyGraph::new();
-        apply_ops(&mut g, &setup);
+        g.enable_delta_capture();
+        let (committed, pending) = setup.split_at(setup.len() / 2);
+        let root = g.savepoint();
+        apply_ops(&mut g, committed);
+        g.commit(root);
+        apply_ops(&mut g, pending);
         g.commit(g.savepoint()); // not a root commit; just exercise the API
-        let before = dump(&g);
+        let before = fingerprint(&g);
+        let delta_before = g.delta().to_vec();
         let sp = g.savepoint();
         apply_ops(&mut g, &mutation);
         g.rollback_to(sp);
-        prop_assert_eq!(dump(&g), before);
+        prop_assert_eq!(fingerprint(&g), before);
+        prop_assert_eq!(g.delta(), &delta_before[..]);
+    }
+
+    /// The delta captured over several statements — some rolled back whole,
+    /// some to an inner savepoint, the rest root-committed — replays onto a
+    /// copy of the start graph and reproduces the graph exactly.
+    #[test]
+    fn captured_delta_replays_exactly(
+        start in arb_ops(),
+        statements in prop::collection::vec((arb_ops(), arb_ops(), 0u8..3), 1..5),
+    ) {
+        let mut g = PropertyGraph::new();
+        // `dump` lists labels in symbol order; interning every name up
+        // front keeps both graphs' symbol orders equal.
+        for name in ["v", "L0", "L1", "L2", "T0", "T1"] {
+            g.sym(name);
+        }
+        let root = g.savepoint();
+        apply_ops(&mut g, &start);
+        g.commit(root);
+        let mut replica = g.clone();
+        g.enable_delta_capture();
+        for (outer, inner, fate) in &statements {
+            let sp = g.savepoint();
+            apply_ops(&mut g, outer);
+            let inner_sp = g.savepoint();
+            apply_ops(&mut g, inner);
+            match fate {
+                0 => g.rollback_to(sp),
+                1 => {
+                    g.rollback_to(inner_sp);
+                    g.commit(sp);
+                }
+                _ => g.commit(sp),
+            }
+        }
+        let ops = Delta::from_ops(&g.take_delta(), &g);
+        let root = replica.savepoint();
+        for op in &ops {
+            prop_assert!(apply_delta(&mut replica, op).is_ok(), "replay of {:?}", op);
+        }
+        replica.commit(root);
+        prop_assert_eq!(fingerprint(&replica), fingerprint(&g));
     }
 
     /// Detach-deleting every node leaves no nodes; the only relationships
