@@ -491,31 +491,10 @@ impl Scope<'_> {
                 locals.pop();
                 locals.pop();
             }
-            Expr::PatternPredicate(p) => {
-                // Pattern predicates may introduce fresh (existential)
-                // variables; only their property expressions are checked.
-                for (_, e) in &p.start.props {
-                    self.check_expr(e, locals);
-                }
-                for (rel, node) in &p.steps {
-                    for (_, e) in &rel.props {
-                        self.check_expr(e, locals);
-                    }
-                    for (_, e) in &node.props {
-                        self.check_expr(e, locals);
-                    }
-                }
-            }
-            other => {
-                // `for_each_child` hands out short-lived references, so
-                // children are cloned before the recursive check (the
-                // analyzer runs once per statement; this is cheap).
-                let mut children: Vec<Expr> = Vec::new();
-                other.for_each_child(&mut |c| children.push(c.clone()));
-                for c in &children {
-                    self.check_expr(c, locals);
-                }
-            }
+            // Pattern predicates may introduce fresh (existential)
+            // variables; `for_each_child` hands out only their property
+            // expressions.
+            other => other.for_each_child(&mut |c| self.check_expr(c, locals)),
         }
     }
 }

@@ -20,7 +20,7 @@ use cypher_parser::ast::{
 };
 
 use crate::exec::{Engine, MergePolicy};
-use crate::plan::ClausePlan;
+use crate::plan::{Anchor, ClausePlan};
 use crate::table::Table;
 
 impl Engine {
@@ -87,6 +87,16 @@ impl Engine {
                     }
                     _ => None,
                 };
+                // Clauses that run unplanned enter their patterns where
+                // the naive matcher does, from the same graph and columns.
+                let mut anchors = match &plan {
+                    Some(_) => Vec::new(),
+                    None => {
+                        let cols = table.as_ref().map(Table::columns).unwrap_or_default();
+                        self.naive_anchors(&scratch, clause, &cols)
+                    }
+                }
+                .into_iter();
                 let est = plan.as_ref().zip(table.as_ref()).map(|(p, t)| {
                     let per_row: f64 = p.meta.iter().map(|m| m.est_rows).product();
                     per_row * t.len() as f64
@@ -105,7 +115,8 @@ impl Engine {
                     },
                     None => Rows::NotRun,
                 };
-                self.explain_clause(graph, clause, plan.as_ref(), est, actual, &mut out, 0);
+                let plan = plan.as_ref();
+                self.explain_clause(clause, plan, &mut anchors, est, actual, &mut out, 0);
             }
             if let Some(e) = error {
                 let _ = writeln!(out, "  (execution stopped: {e})");
@@ -114,12 +125,40 @@ impl Engine {
         out
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn explain_clause(
+    /// The naive anchors of every pattern `clause` runs, FOREACH bodies
+    /// included, in the order `explain_clause` prints them.
+    fn naive_anchors(
         &self,
         graph: &PropertyGraph,
         clause: &Clause,
+        cols: &[String],
+    ) -> Vec<Anchor> {
+        match clause {
+            Clause::Match { patterns, .. } | Clause::Merge { patterns, .. } => {
+                crate::plan::naive_anchors(graph, &self.params, patterns, cols)
+            }
+            Clause::Foreach { var, body, .. } => {
+                // Each body clause sees the variables the ones before it bound.
+                let mut cols = [cols, std::slice::from_ref(var)].concat();
+                let mut anchors = Vec::new();
+                for c in body {
+                    anchors.extend(self.naive_anchors(graph, c, &cols));
+                    if let Clause::Create { patterns } | Clause::Merge { patterns, .. } = c {
+                        cols.extend(crate::exec::read::pattern_variables(patterns));
+                    }
+                }
+                anchors
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn explain_clause(
+        &self,
+        clause: &Clause,
         plan: Option<&ClausePlan>,
+        anchors: &mut std::vec::IntoIter<Anchor>,
         est: Option<f64>,
         actual: Rows,
         out: &mut String,
@@ -134,7 +173,7 @@ impl Engine {
             } => {
                 let kw = if *optional { "OPTIONAL MATCH" } else { "MATCH" };
                 let _ = writeln!(out, "{pad}{kw}:{}", rows_note(est, actual));
-                explain_pattern_list(graph, patterns, plan, out, depth + 1);
+                explain_pattern_list(patterns, plan, anchors, out, depth + 1);
                 if where_clause.is_some() {
                     let _ = writeln!(out, "{pad}  filter: WHERE (ternary; unknown drops row)");
                 }
@@ -229,7 +268,7 @@ impl Engine {
                     clause.name(),
                     rows_note(est, actual)
                 );
-                explain_pattern_list(graph, patterns, plan, out, depth + 1);
+                explain_pattern_list(patterns, plan, anchors, out, depth + 1);
                 if !on_create.is_empty() {
                     let _ = writeln!(out, "{pad}  ON CREATE SET: {} item(s)", on_create.len());
                 }
@@ -240,7 +279,7 @@ impl Engine {
             Clause::Foreach { body, .. } => {
                 let _ = writeln!(out, "{pad}FOREACH: per list element, run:");
                 for inner in body {
-                    self.explain_clause(graph, inner, None, None, Rows::NotRun, out, depth + 1);
+                    self.explain_clause(inner, None, anchors, None, Rows::NotRun, out, depth + 1);
                 }
             }
             Clause::CreateIndex { label, key } => {
@@ -287,24 +326,19 @@ fn fmt_est(e: f64) -> String {
 /// Render the physical plan of a pattern list (in execution order), or the
 /// naive strategy when no plan exists (force_naive / shortest paths).
 fn explain_pattern_list(
-    graph: &PropertyGraph,
     patterns: &[PathPattern],
     plan: Option<&ClausePlan>,
+    anchors: &mut std::vec::IntoIter<Anchor>,
     out: &mut String,
     depth: usize,
 ) {
     let pad = "  ".repeat(depth);
     let Some(plan) = plan else {
-        for p in patterns {
+        for (p, anchor) in patterns.iter().zip(anchors) {
             if p.shortest.is_some() {
                 let _ = writeln!(out, "{pad}shortest-path BFS (runs on the naive matcher):");
             }
-            let _ = writeln!(
-                out,
-                "{pad}start {}: {}",
-                describe_node(&p.start),
-                access_path(graph, &p.start)
-            );
+            let _ = writeln!(out, "{pad}start {}: {anchor}", describe_node(&p.start));
             for (rel, node) in &p.steps {
                 let _ = writeln!(
                     out,
@@ -344,27 +378,6 @@ fn explain_pattern_list(
                 },
             );
         }
-    }
-}
-
-/// Which access path `node_candidates` would choose for an unbound start
-/// (used only when no cost-based plan is available).
-fn access_path(graph: &PropertyGraph, np: &NodePattern) -> String {
-    for label in &np.labels {
-        let Some(lsym) = graph.try_sym(label) else {
-            continue;
-        };
-        for (key, _) in &np.props {
-            if let Some(ksym) = graph.try_sym(key) {
-                if graph.has_index(lsym, ksym) {
-                    return format!("index probe (:{label}({key}))");
-                }
-            }
-        }
-    }
-    match np.labels.first() {
-        Some(l) => format!("label scan (:{l})"),
-        None => "all-nodes scan".to_owned(),
     }
 }
 
@@ -512,6 +525,57 @@ mod tests {
             .unwrap();
         assert!(plan.contains("force_naive"), "{plan}");
         assert!(plan.contains("all-nodes scan"), "{plan}");
+    }
+
+    #[test]
+    fn unplanned_clauses_show_the_anchor_the_matcher_takes() {
+        let mut g = PropertyGraph::new();
+        let e = Engine::revised();
+        e.run(&mut g, "UNWIND range(1, 50) AS i CREATE (:Big {id: i})")
+            .unwrap();
+        e.run(
+            &mut g,
+            "UNWIND range(1, 3) AS i CREATE (:Big:Small {id: i})",
+        )
+        .unwrap();
+        // Shortest paths are never planned; the matcher scans the smaller
+        // label, whichever is written first.
+        let plan = e
+            .explain(
+                &g,
+                "MATCH p = shortestPath((a:Big:Small)-[*]->(b)) RETURN p",
+            )
+            .unwrap();
+        assert!(
+            plan.contains("start (a:Big:Small): label scan (:Small)"),
+            "{plan}"
+        );
+        // A variable bound by an earlier clause anchors the pattern.
+        let plan = e
+            .explain(
+                &g,
+                "MATCH (a:Small) WITH a MATCH p = shortestPath((a)-[*]->(b)) RETURN p",
+            )
+            .unwrap();
+        assert!(plan.contains("start (a): bound variable `a`"), "{plan}");
+        let naive = EngineBuilder::new(Dialect::Revised)
+            .force_naive(true)
+            .build()
+            .explain(&g, "MATCH (a:Big:Small), (a)-->(b:Big) RETURN b")
+            .unwrap();
+        assert!(
+            naive.contains("start (a:Big:Small): label scan (:Small)"),
+            "{naive}"
+        );
+        assert!(naive.contains("start (a): bound variable `a`"), "{naive}");
+        // In a FOREACH body, a variable an earlier body clause binds.
+        let plan = Engine::legacy()
+            .explain(
+                &g,
+                "MATCH (n:Small) FOREACH (x IN [1] | CREATE (a:M) MERGE (a)-[:T]->(:N))",
+            )
+            .unwrap();
+        assert!(plan.contains("start (a): bound variable `a`"), "{plan}");
     }
 
     #[test]

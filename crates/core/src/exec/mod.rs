@@ -119,13 +119,14 @@ impl QueryResult {
             }
         }
         let mut out = String::new();
-        for (i, c) in self.columns.iter().enumerate() {
-            out.push_str(&format!("| {:w$} ", c, w = widths[i]));
-        }
-        out.push_str("|\n");
-        for row in &rendered {
-            for (i, cell) in row.iter().enumerate() {
-                out.push_str(&format!("| {:w$} ", cell, w = widths[i]));
+        for line in std::iter::once(&self.columns).chain(&rendered) {
+            for (cell, width) in line.iter().zip(&widths) {
+                // Padded by hand: `format!`'s width argument panics past
+                // 65 535.
+                out.push_str("| ");
+                out.push_str(cell);
+                let pad = width.saturating_sub(cell.chars().count());
+                out.extend(std::iter::repeat_n(' ', pad + 1));
             }
             out.push_str("|\n");
         }
@@ -700,5 +701,26 @@ impl ExecCtx<'_, '_> {
     /// Evaluate an expression for a record against the current graph.
     pub(crate) fn eval(&self, rec: &Record, expr: &cypher_parser::ast::Expr) -> Result<Value> {
         crate::eval::eval(&self.eval_ctx(), rec, expr)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn render_pads_cells_wider_than_a_format_width() {
+        let wide = "x".repeat(70_000);
+        let engine = Engine::builder(Dialect::Revised)
+            .param("p", Value::Str(wide.clone()))
+            .build();
+        let result = engine
+            .run(&mut PropertyGraph::new(), "RETURN $p AS p, 1 AS n")
+            .expect("run");
+        let cell = Value::Str(wide).to_string();
+        let table = result.render();
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines[0], format!("| p{} | n |", " ".repeat(cell.len() - 1)));
+        assert_eq!(lines[1], format!("| {cell} | 1 |"));
     }
 }

@@ -184,6 +184,27 @@ struct Candidate {
     est_rows: f64,
 }
 
+/// Where the naive matcher enters each of `patterns`, in written order:
+/// each pattern binds its variables for the ones after it. `EXPLAIN`
+/// prints these for clauses that run unplanned.
+pub(crate) fn naive_anchors(
+    graph: &PropertyGraph,
+    params: &BTreeMap<String, Value>,
+    patterns: &[PathPattern],
+    bound_cols: &[String],
+) -> Vec<Anchor> {
+    let ctx = EvalCtx::new(graph, params);
+    let mut bound: BTreeSet<String> = bound_cols.iter().cloned().collect();
+    patterns
+        .iter()
+        .map(|p| {
+            let (anchor, _) = anchor_for(graph, &ctx, &p.start, &bound);
+            bound.extend(single_pattern_vars(p));
+            anchor
+        })
+        .collect()
+}
+
 /// Pick forward or reversed execution for one pattern: whichever end has
 /// the cheaper anchor wins (strictly — ties stay forward/naive).
 fn best_orientation(

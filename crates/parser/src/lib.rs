@@ -37,7 +37,7 @@ pub use ast::{
     SingleQuery, SortItem, UnaryOp, UnionKind, VarLength,
 };
 pub use error::{line_col, render_caret, ParseError};
-pub use parser::{parse, parse_script};
+pub use parser::{parse, parse_script, MAX_EXPR_DEPTH};
 pub use pretty::{print_clause, print_expr, print_query};
 pub use token::{Span, Tok, Token};
 pub use validate::validate;

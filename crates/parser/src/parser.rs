@@ -7,12 +7,14 @@
 //! Dialect-specific restrictions are enforced afterwards by
 //! [`crate::validate()`], which produces the errors mandated by each grammar.
 //!
-//! Expressions use precedence climbing:
+//! Expressions are parsed by one binding-power loop, loosest first:
 //! `OR < XOR < AND < NOT < comparisons < string/list predicates <
 //! add/sub < mul/div/mod < pow < unary ± < postfix (property, index,
 //! slice, label predicate)`.
 //! Comparison chains (`a < b <= c`) desugar to conjunctions, following
-//! openCypher.
+//! openCypher. The same loop bounds nesting by [`MAX_EXPR_DEPTH`].
+
+use std::collections::HashMap;
 
 use crate::ast::*;
 use crate::error::{ParseError, Result};
@@ -22,7 +24,10 @@ use crate::token::{Span, Tok, Token};
 /// Parse a single Cypher statement (an optional trailing `;` is allowed).
 pub fn parse(input: &str) -> Result<Query> {
     let tokens = lex(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        ..Parser::default()
+    };
     let q = p.query()?;
     if p.at(&Tok::Semicolon) {
         p.bump();
@@ -34,7 +39,10 @@ pub fn parse(input: &str) -> Result<Query> {
 /// Parse a sequence of `;`-separated statements.
 pub fn parse_script(input: &str) -> Result<Vec<Query>> {
     let tokens = lex(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        ..Parser::default()
+    };
     let mut out = Vec::new();
     while !p.at(&Tok::Eof) {
         out.push(p.query()?);
@@ -48,9 +56,57 @@ pub fn parse_script(input: &str) -> Result<Vec<Query>> {
     Ok(out)
 }
 
+/// How deeply a statement may nest: the deepest level any node of its
+/// expressions may sit at, the top of a clause's expression being level 1.
+///
+/// Every operand, argument, element and map value sits one level below
+/// its parent, and a FOREACH body one level below the FOREACH. When an
+/// operator takes the expression parsed so far as its left operand, that
+/// expression moves one level down, so left-deep chains (`1 + 1 + …`,
+/// `m.a.a…`, `x[0][0]…`) count in full. A parenthesis builds no node and
+/// costs nothing, except a `(` right after another `(`: it is charged a
+/// level in advance, so `((((x))))` cannot recurse for free, and its group
+/// pays the level back by becoming the left operand of the next operator,
+/// which is how printed text uses `((`. The parser's own recursion is
+/// bounded with the trees, and the printed form of an accepted statement
+/// counts no deeper than the statement.
+///
+/// A deeper statement is refused with a positioned [`ParseError`], so no
+/// later pass (validation, analysis, printing, evaluation, cloning,
+/// dropping) recurses past this depth. 64 leaves room on a 2 MiB thread
+/// stack for every one of them even in an unoptimised build, so no thread
+/// that parses or runs a statement needs a larger stack.
+pub const MAX_EXPR_DEPTH: usize = 64;
+
+// Binding powers, loosest first: an operator applies when its power is at
+// least the minimum the caller of `expr_bp` passes.
+const BP_OR: u8 = 1;
+const BP_XOR: u8 = 2;
+const BP_AND: u8 = 3;
+const BP_NOT: u8 = 4;
+const BP_CMP: u8 = 5;
+const BP_PRED: u8 = 6;
+const BP_ADD: u8 = 7;
+const BP_MUL: u8 = 8;
+const BP_POW: u8 = 9;
+const BP_UNARY: u8 = 10;
+const BP_POSTFIX: u8 = 11;
+
+type MapEntries = Vec<(String, Expr)>;
+
+#[derive(Default)]
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Level of the node being parsed (see [`MAX_EXPR_DEPTH`]); between
+    /// clauses, the number of enclosing FOREACH bodies.
+    depth: usize,
+    /// Deepest level a node of the innermost expression being parsed has
+    /// reached.
+    peak: usize,
+    /// `map_entries` by the token index of the `{`: the entries, the index
+    /// after the `}`, and how many levels the values reach below the map.
+    maps: HashMap<usize, Result<(MapEntries, usize, usize)>>,
 }
 
 impl Parser {
@@ -140,12 +196,7 @@ impl Parser {
     /// Identifier (plain or escaped) in name position.
     fn name(&mut self, what: &str) -> Result<String> {
         match &self.peek().tok {
-            Tok::Ident(s) => {
-                let s = s.clone();
-                self.bump();
-                Ok(s)
-            }
-            Tok::EscapedIdent(s) => {
+            Tok::Ident(s) | Tok::EscapedIdent(s) => {
                 let s = s.clone();
                 self.bump();
                 Ok(s)
@@ -205,7 +256,7 @@ impl Parser {
         }
         if self.at_kw("UNWIND") {
             self.bump();
-            let expr = self.expr()?;
+            let expr = self.expr_bp(0)?;
             self.expect_kw("AS")?;
             let alias = self.name("alias")?;
             return Ok(Clause::Unwind { expr, alias });
@@ -243,37 +294,7 @@ impl Parser {
         }
         if self.at_kw("MERGE") {
             self.bump();
-            let kind = if self.eat_kw("ALL") {
-                MergeKind::All
-            } else if self.eat_kw("SAME") {
-                MergeKind::Same
-            } else {
-                MergeKind::Legacy
-            };
-            let patterns = self.pattern_list()?;
-            let mut on_create = Vec::new();
-            let mut on_match = Vec::new();
-            while self.at_kw("ON") {
-                self.bump();
-                let target = if self.eat_kw("CREATE") {
-                    &mut on_create
-                } else if self.eat_kw("MATCH") {
-                    &mut on_match
-                } else {
-                    return Err(self.err_here("expected CREATE or MATCH after ON"));
-                };
-                self.expect_kw("SET")?;
-                target.push(self.set_item()?);
-                while self.eat(&Tok::Comma) {
-                    target.push(self.set_item()?);
-                }
-            }
-            return Ok(Clause::Merge {
-                kind,
-                patterns,
-                on_create,
-                on_match,
-            });
+            return self.merge_tail();
         }
         if self.at_kw("SET") {
             self.bump();
@@ -313,7 +334,7 @@ impl Parser {
     fn match_tail(&mut self, optional: bool) -> Result<Clause> {
         let patterns = self.pattern_list()?;
         let where_clause = if self.eat_kw("WHERE") {
-            Some(self.expr()?)
+            Some(self.expr_bp(0)?)
         } else {
             None
         };
@@ -324,10 +345,44 @@ impl Parser {
         })
     }
 
+    fn merge_tail(&mut self) -> Result<Clause> {
+        let kind = if self.eat_kw("ALL") {
+            MergeKind::All
+        } else if self.eat_kw("SAME") {
+            MergeKind::Same
+        } else {
+            MergeKind::Legacy
+        };
+        let patterns = self.pattern_list()?;
+        let mut on_create = Vec::new();
+        let mut on_match = Vec::new();
+        while self.at_kw("ON") {
+            self.bump();
+            let target = if self.eat_kw("CREATE") {
+                &mut on_create
+            } else if self.eat_kw("MATCH") {
+                &mut on_match
+            } else {
+                return Err(self.err_here("expected CREATE or MATCH after ON"));
+            };
+            self.expect_kw("SET")?;
+            target.push(self.set_item()?);
+            while self.eat(&Tok::Comma) {
+                target.push(self.set_item()?);
+            }
+        }
+        Ok(Clause::Merge {
+            kind,
+            patterns,
+            on_create,
+            on_match,
+        })
+    }
+
     fn delete_tail(&mut self, detach: bool) -> Result<Clause> {
-        let mut exprs = vec![self.expr()?];
+        let mut exprs = vec![self.expr_bp(0)?];
         while self.eat(&Tok::Comma) {
-            exprs.push(self.expr()?);
+            exprs.push(self.expr_bp(0)?);
         }
         Ok(Clause::Delete { detach, exprs })
     }
@@ -336,12 +391,16 @@ impl Parser {
         self.expect(&Tok::LParen)?;
         let var = self.name("iteration variable")?;
         self.expect_kw("IN")?;
-        let list = self.expr()?;
+        let list = self.expr_bp(0)?;
         self.expect(&Tok::Pipe)?;
+        // The body nests one level below the FOREACH.
+        self.depth += 1;
+        self.reach(self.depth)?;
         let mut body = Vec::new();
         while !self.at(&Tok::RParen) {
             body.push(self.clause()?);
         }
+        self.depth -= 1;
         self.expect(&Tok::RParen)?;
         if body.is_empty() {
             return Err(self.err_here("FOREACH body must contain at least one update clause"));
@@ -374,7 +433,7 @@ impl Parser {
             self.bump();
             self.bump();
             loop {
-                let expr = self.expr()?;
+                let expr = self.expr_bp(0)?;
                 let descending = if self.eat_kw("DESC") || self.eat_kw("DESCENDING") {
                     true
                 } else {
@@ -388,17 +447,17 @@ impl Parser {
             }
         }
         let skip = if self.eat_kw("SKIP") {
-            Some(self.expr()?)
+            Some(self.expr_bp(0)?)
         } else {
             None
         };
         let limit = if self.eat_kw("LIMIT") {
-            Some(self.expr()?)
+            Some(self.expr_bp(0)?)
         } else {
             None
         };
         let where_clause = if is_with && self.eat_kw("WHERE") {
-            Some(self.expr()?)
+            Some(self.expr_bp(0)?)
         } else {
             None
         };
@@ -413,7 +472,7 @@ impl Parser {
     }
 
     fn projection_item(&mut self) -> Result<ProjectionItem> {
-        let expr = self.expr()?;
+        let expr = self.expr_bp(0)?;
         let alias = if self.eat_kw("AS") {
             Some(self.name("alias")?)
         } else {
@@ -428,7 +487,7 @@ impl Parser {
 
     fn set_item(&mut self) -> Result<SetItem> {
         let start_span = self.peek().span;
-        let target = self.postfix_expr()?;
+        let target = self.expr_bp(BP_POSTFIX)?;
         if let Expr::HasLabels(base, labels) = target {
             let Expr::Variable(var) = *base else {
                 return Err(ParseError::new(
@@ -448,11 +507,11 @@ impl Parser {
                     start_span,
                 ));
             };
-            let value = self.expr()?;
+            let value = self.expr_bp(0)?;
             return Ok(SetItem::MergeProps { target: var, value });
         }
         self.expect(&Tok::Eq)?;
-        let value = self.expr()?;
+        let value = self.expr_bp(0)?;
         match target {
             Expr::Property(base, key) => Ok(SetItem::Property {
                 target: *base,
@@ -469,7 +528,7 @@ impl Parser {
 
     fn remove_item(&mut self) -> Result<RemoveItem> {
         let start_span = self.peek().span;
-        let target = self.postfix_expr()?;
+        let target = self.expr_bp(BP_POSTFIX)?;
         match target {
             Expr::HasLabels(base, labels) => {
                 let Expr::Variable(var) = *base else {
@@ -647,14 +706,35 @@ impl Parser {
         })
     }
 
-    fn map_entries(&mut self) -> Result<Vec<(String, Expr)>> {
+    /// `{key: value, …}`. Backtracking at `(` reads a node pattern's map
+    /// twice (pattern, then expression), which doubles the work per level
+    /// of a nest of such maps. So each `{` is parsed once, and a replay
+    /// charges the levels its values reach below the current depth.
+    fn map_entries(&mut self) -> Result<MapEntries> {
+        let start = self.pos;
+        if let Some(memo) = self.maps.get(&start) {
+            let (entries, end, height) = memo.clone()?;
+            self.reach(self.depth + height)?;
+            self.pos = end;
+            return Ok(entries);
+        }
+        let outer_peak = std::mem::replace(&mut self.peak, self.depth);
+        let parsed = self.map_body();
+        let height = self.peak - self.depth;
+        self.peak = self.peak.max(outer_peak);
+        let memo = parsed.map(|entries| (entries, self.pos, height));
+        self.maps.insert(start, memo.clone());
+        memo.map(|(entries, ..)| entries)
+    }
+
+    fn map_body(&mut self) -> Result<MapEntries> {
         self.expect(&Tok::LBrace)?;
         let mut entries = Vec::new();
         if !self.at(&Tok::RBrace) {
             loop {
                 let key = self.name("map key")?;
                 self.expect(&Tok::Colon)?;
-                let value = self.expr()?;
+                let value = self.expr_bp(0)?;
                 entries.push((key, value));
                 if !self.eat(&Tok::Comma) {
                     break;
@@ -669,218 +749,177 @@ impl Parser {
     // Expressions
     // ------------------------------------------------------------------
 
-    fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+    /// Records that a node sits at `level`, refusing levels past
+    /// [`MAX_EXPR_DEPTH`]. A refusal leaves `peak` past the bound, which
+    /// tells the backtracking in [`Parser::group`] that it is final.
+    fn reach(&mut self, level: usize) -> Result<()> {
+        self.peak = self.peak.max(level);
+        if self.peak > MAX_EXPR_DEPTH {
+            return Err(self.err_here(format!(
+                "expression nests more than {MAX_EXPR_DEPTH} levels deep"
+            )));
+        }
+        Ok(())
     }
 
-    fn or_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.xor_expr()?;
-        while self.at_kw("OR") {
+    /// Parse an expression whose operators bind at least as tightly as
+    /// `min_bp`. This loop is the one place where precedence is decided
+    /// and nesting is counted.
+    fn expr_bp(&mut self, min_bp: u8) -> Result<Expr> {
+        let parent = self.depth;
+        let outer_peak = std::mem::take(&mut self.peak);
+        let level = parent + 1;
+        // A `(` right after `(` is charged a level now (see MAX_EXPR_DEPTH).
+        let mut prepaid =
+            self.at(&Tok::LParen) && self.tokens[self.pos.saturating_sub(1)].tok == Tok::LParen;
+        self.depth = level + usize::from(prepaid);
+        self.reach(self.depth)?;
+        let mut lhs = if min_bp <= BP_NOT && self.eat_kw("NOT") {
+            Expr::Unary(UnaryOp::Not, Box::new(self.expr_bp(BP_NOT)?))
+        } else if min_bp <= BP_UNARY && (self.at(&Tok::Minus) || self.at(&Tok::Plus)) {
+            let op = if self.bump().tok == Tok::Minus {
+                UnaryOp::Neg
+            } else {
+                UnaryOp::Pos
+            };
+            Expr::Unary(op, Box::new(self.expr_bp(BP_UNARY)?))
+        } else {
+            self.atom()?
+        };
+        self.depth = level;
+        // After an operator only operators at most as tight may follow
+        // (this is what keeps `a IS NULL + 1` out).
+        let mut max_bp = BP_POSTFIX;
+        loop {
+            let (bp, op) = match self.peek().tok {
+                Tok::Dot | Tok::LBracket | Tok::Colon => (BP_POSTFIX, None),
+                _ if self.at_kw("IS") => (BP_PRED, None),
+                _ => match self.binary_op() {
+                    Some((op, bp)) => (bp, Some(op)),
+                    None => break,
+                },
+            };
+            if bp < min_bp || bp > max_bp {
+                break;
+            }
+            max_bp = bp;
+            // The operator takes `lhs` as its left operand, one level down,
+            // where a prepaid group already sits.
+            if !std::mem::take(&mut prepaid) {
+                self.reach(self.peak + 1)?;
+            }
+            let Some(op) = op else {
+                lhs = self.postfix(lhs)?;
+                continue;
+            };
             self.bump();
-            let rhs = self.xor_expr()?;
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs));
+            if matches!(op, BinOp::StartsWith | BinOp::EndsWith) {
+                self.bump();
+            }
+            // `^` is right-associative: its right operand may hold a `^`.
+            let rhs = self.expr_bp(if op == BinOp::Pow { bp } else { bp + 1 })?;
+            lhs = if bp == BP_CMP {
+                self.comparison_chain(Expr::Binary(op, Box::new(lhs), Box::new(rhs.clone())), rhs)?
+            } else {
+                Expr::Binary(op, Box::new(lhs), Box::new(rhs))
+            };
         }
+        self.depth = parent;
+        self.peak = self.peak.max(outer_peak);
         Ok(lhs)
     }
 
-    fn xor_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.and_expr()?;
-        while self.at_kw("XOR") {
-            self.bump();
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary(BinOp::Xor, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.not_expr()?;
-        while self.at_kw("AND") {
-            self.bump();
-            let rhs = self.not_expr()?;
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn not_expr(&mut self) -> Result<Expr> {
-        if self.at_kw("NOT") {
-            self.bump();
-            let inner = self.not_expr()?;
-            return Ok(Expr::Unary(UnaryOp::Not, Box::new(inner)));
-        }
-        self.comparison_expr()
-    }
-
-    fn comparison_op(&self) -> Option<BinOp> {
-        match self.peek().tok {
-            Tok::Eq => Some(BinOp::Eq),
-            Tok::Neq => Some(BinOp::Ne),
-            Tok::Lt => Some(BinOp::Lt),
-            Tok::Le => Some(BinOp::Le),
-            Tok::Gt => Some(BinOp::Gt),
-            Tok::Ge => Some(BinOp::Ge),
-            _ => None,
-        }
+    /// The binary operator at the cursor and its binding power.
+    fn binary_op(&self) -> Option<(BinOp, u8)> {
+        Some(match self.peek().tok {
+            Tok::Plus => (BinOp::Add, BP_ADD),
+            Tok::Minus => (BinOp::Sub, BP_ADD),
+            Tok::Star => (BinOp::Mul, BP_MUL),
+            Tok::Slash => (BinOp::Div, BP_MUL),
+            Tok::Percent => (BinOp::Mod, BP_MUL),
+            Tok::Caret => (BinOp::Pow, BP_POW),
+            Tok::Eq => (BinOp::Eq, BP_CMP),
+            Tok::Neq => (BinOp::Ne, BP_CMP),
+            Tok::Lt => (BinOp::Lt, BP_CMP),
+            Tok::Le => (BinOp::Le, BP_CMP),
+            Tok::Gt => (BinOp::Gt, BP_CMP),
+            Tok::Ge => (BinOp::Ge, BP_CMP),
+            _ if self.at_kw("OR") => (BinOp::Or, BP_OR),
+            _ if self.at_kw("XOR") => (BinOp::Xor, BP_XOR),
+            _ if self.at_kw("AND") => (BinOp::And, BP_AND),
+            _ if self.at_kw2("STARTS", "WITH") => (BinOp::StartsWith, BP_PRED),
+            _ if self.at_kw2("ENDS", "WITH") => (BinOp::EndsWith, BP_PRED),
+            _ if self.at_kw("CONTAINS") => (BinOp::Contains, BP_PRED),
+            _ if self.at_kw("IN") => (BinOp::In, BP_PRED),
+            _ => return None,
+        })
     }
 
     /// Comparison chains desugar to conjunctions: `a < b <= c` becomes
-    /// `a < b AND b <= c` (openCypher semantics).
-    fn comparison_expr(&mut self) -> Result<Expr> {
-        let first = self.predicate_expr()?;
-        let Some(op) = self.comparison_op() else {
-            return Ok(first);
-        };
-        self.bump();
-        let second = self.predicate_expr()?;
-        let mut result = Expr::Binary(op, Box::new(first), Box::new(second.clone()));
-        let mut prev = second;
-        while let Some(op) = self.comparison_op() {
+    /// `a < b AND b <= c` (openCypher semantics). Each further link pushes
+    /// the chain one level down under a new AND, and its operands sit two
+    /// levels below the expression.
+    fn comparison_chain(&mut self, mut chain: Expr, mut prev: Expr) -> Result<Expr> {
+        while let Some((op, BP_CMP)) = self.binary_op() {
             self.bump();
-            let next = self.predicate_expr()?;
-            let link = Expr::Binary(op, Box::new(prev.clone()), Box::new(next.clone()));
-            result = Expr::Binary(BinOp::And, Box::new(result), Box::new(link));
-            prev = next;
+            self.reach(self.peak + 1)?;
+            self.depth += 1;
+            let next = self.expr_bp(BP_CMP + 1)?;
+            self.depth -= 1;
+            let link = Expr::Binary(
+                op,
+                Box::new(std::mem::replace(&mut prev, next.clone())),
+                Box::new(next),
+            );
+            chain = Expr::Binary(BinOp::And, Box::new(chain), Box::new(link));
         }
-        Ok(result)
+        Ok(chain)
     }
 
-    /// `IS [NOT] NULL`, `STARTS WITH`, `ENDS WITH`, `CONTAINS`, `IN`.
-    fn predicate_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.add_expr()?;
-        loop {
-            if self.at_kw("IS") {
-                self.bump();
-                let negated = self.eat_kw("NOT");
-                self.expect_kw("NULL")?;
-                lhs = Expr::IsNull {
-                    expr: Box::new(lhs),
-                    negated,
-                };
-            } else if self.at_kw2("STARTS", "WITH") {
-                self.bump();
-                self.bump();
-                let rhs = self.add_expr()?;
-                lhs = Expr::Binary(BinOp::StartsWith, Box::new(lhs), Box::new(rhs));
-            } else if self.at_kw2("ENDS", "WITH") {
-                self.bump();
-                self.bump();
-                let rhs = self.add_expr()?;
-                lhs = Expr::Binary(BinOp::EndsWith, Box::new(lhs), Box::new(rhs));
-            } else if self.at_kw("CONTAINS") {
-                self.bump();
-                let rhs = self.add_expr()?;
-                lhs = Expr::Binary(BinOp::Contains, Box::new(lhs), Box::new(rhs));
-            } else if self.at_kw("IN") {
-                self.bump();
-                let rhs = self.add_expr()?;
-                lhs = Expr::Binary(BinOp::In, Box::new(lhs), Box::new(rhs));
+    /// Apply the postfix operator at the cursor to `base`: `.key`, `[i]`,
+    /// `[a..b]`, `:Label…` or `IS [NOT] NULL`.
+    fn postfix(&mut self, base: Expr) -> Result<Expr> {
+        let base = Box::new(base);
+        if self.eat_kw("IS") {
+            let negated = self.eat_kw("NOT");
+            self.expect_kw("NULL")?;
+            return Ok(Expr::IsNull {
+                expr: base,
+                negated,
+            });
+        }
+        if self.eat(&Tok::Dot) {
+            return Ok(Expr::Property(base, self.name("property key")?));
+        }
+        if self.eat(&Tok::LBracket) {
+            // Distinguish `[e]`, `[e..e]`, `[..e]`, `[e..]`, `[..]`.
+            let from = if self.at(&Tok::DotDot) {
+                None
             } else {
-                return Ok(lhs);
-            }
-        }
-    }
-
-    fn add_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek().tok {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => return Ok(lhs),
+                Some(Box::new(self.expr_bp(0)?))
             };
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.pow_expr()?;
-        loop {
-            let op = match self.peek().tok {
-                Tok::Star => BinOp::Mul,
-                Tok::Slash => BinOp::Div,
-                Tok::Percent => BinOp::Mod,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.pow_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-    }
-
-    fn pow_expr(&mut self) -> Result<Expr> {
-        let lhs = self.unary_expr()?;
-        if self.at(&Tok::Caret) {
-            self.bump();
-            let rhs = self.pow_expr()?; // right-associative
-            return Ok(Expr::Binary(BinOp::Pow, Box::new(lhs), Box::new(rhs)));
-        }
-        Ok(lhs)
-    }
-
-    fn unary_expr(&mut self) -> Result<Expr> {
-        if self.at(&Tok::Minus) {
-            self.bump();
-            let inner = self.unary_expr()?;
-            return Ok(Expr::Unary(UnaryOp::Neg, Box::new(inner)));
-        }
-        if self.at(&Tok::Plus) {
-            self.bump();
-            let inner = self.unary_expr()?;
-            return Ok(Expr::Unary(UnaryOp::Pos, Box::new(inner)));
-        }
-        self.postfix_expr()
-    }
-
-    fn postfix_expr(&mut self) -> Result<Expr> {
-        let mut base = self.atom()?;
-        loop {
-            if self.at(&Tok::Dot) {
-                self.bump();
-                let key = self.name("property key")?;
-                base = Expr::Property(Box::new(base), key);
-            } else if self.at(&Tok::LBracket) {
-                self.bump();
-                // Distinguish `[e]`, `[e..e]`, `[..e]`, `[e..]`, `[..]`.
-                let from = if self.at(&Tok::DotDot) {
-                    None
-                } else {
-                    Some(Box::new(self.expr()?))
+            if !self.eat(&Tok::DotDot) {
+                self.expect(&Tok::RBracket)?;
+                // `from` is always present here: a leading `..` would have
+                // taken the slice branch.
+                let Some(idx) = from else {
+                    return Err(self.err_here("expected an index expression"));
                 };
-                if self.eat(&Tok::DotDot) {
-                    let to = if self.at(&Tok::RBracket) {
-                        None
-                    } else {
-                        Some(Box::new(self.expr()?))
-                    };
-                    self.expect(&Tok::RBracket)?;
-                    base = Expr::Slice {
-                        base: Box::new(base),
-                        from,
-                        to,
-                    };
-                } else {
-                    self.expect(&Tok::RBracket)?;
-                    // `from` is always present here: a leading `..` would
-                    // have taken the slice branch above.
-                    let Some(idx) = from else {
-                        return Err(self.err_here("expected an index expression"));
-                    };
-                    base = Expr::Index(Box::new(base), idx);
-                }
-            } else if self.at(&Tok::Colon) {
-                let mut labels = Vec::new();
-                while self.at(&Tok::Colon) {
-                    self.bump();
-                    labels.push(self.name("label")?);
-                }
-                base = Expr::HasLabels(Box::new(base), labels);
-            } else {
-                return Ok(base);
+                return Ok(Expr::Index(base, idx));
             }
+            let to = if self.at(&Tok::RBracket) {
+                None
+            } else {
+                Some(Box::new(self.expr_bp(0)?))
+            };
+            self.expect(&Tok::RBracket)?;
+            return Ok(Expr::Slice { base, from, to });
         }
+        let mut labels = Vec::new();
+        while self.eat(&Tok::Colon) {
+            labels.push(self.name("label")?);
+        }
+        Ok(Expr::HasLabels(base, labels))
     }
 
     fn atom(&mut self) -> Result<Expr> {
@@ -902,69 +941,7 @@ impl Parser {
         }
         // count(*) and general function calls: IDENT '('.
         if matches!(self.peek().tok, Tok::Ident(_)) && self.peek_at(1).tok == Tok::LParen {
-            let name = self.name("function name")?;
-            self.bump(); // '('
-            if name.eq_ignore_ascii_case("count") && self.at(&Tok::Star) {
-                self.bump();
-                self.expect(&Tok::RParen)?;
-                return Ok(Expr::CountStar);
-            }
-            // Quantifiers: all/any/none/single(x IN list WHERE pred).
-            if let Some(kind) = QuantifierKind::from_name(&name) {
-                if matches!(self.peek().tok, Tok::Ident(_) | Tok::EscapedIdent(_))
-                    && self.peek_at(1).is_kw("IN")
-                {
-                    let var = self.name("quantifier variable")?;
-                    self.expect_kw("IN")?;
-                    let list = self.expr()?;
-                    self.expect_kw("WHERE")?;
-                    let pred = self.expr()?;
-                    self.expect(&Tok::RParen)?;
-                    return Ok(Expr::Quantifier {
-                        kind,
-                        var,
-                        list: Box::new(list),
-                        pred: Box::new(pred),
-                    });
-                }
-            }
-            // reduce(acc = init, x IN list | body).
-            if name.eq_ignore_ascii_case("reduce")
-                && matches!(self.peek().tok, Tok::Ident(_) | Tok::EscapedIdent(_))
-                && self.peek_at(1).tok == Tok::Eq
-            {
-                let acc = self.name("accumulator")?;
-                self.expect(&Tok::Eq)?;
-                let init = self.expr()?;
-                self.expect(&Tok::Comma)?;
-                let var = self.name("iteration variable")?;
-                self.expect_kw("IN")?;
-                let list = self.expr()?;
-                self.expect(&Tok::Pipe)?;
-                let body = self.expr()?;
-                self.expect(&Tok::RParen)?;
-                return Ok(Expr::Reduce {
-                    acc,
-                    init: Box::new(init),
-                    var,
-                    list: Box::new(list),
-                    body: Box::new(body),
-                });
-            }
-            let distinct = self.eat_kw("DISTINCT");
-            let mut args = Vec::new();
-            if !self.at(&Tok::RParen) {
-                args.push(self.expr()?);
-                while self.eat(&Tok::Comma) {
-                    args.push(self.expr()?);
-                }
-            }
-            self.expect(&Tok::RParen)?;
-            return Ok(Expr::FnCall {
-                name,
-                distinct,
-                args,
-            });
+            return self.call();
         }
         match self.peek().tok.clone() {
             Tok::Int(i) => {
@@ -983,68 +960,144 @@ impl Parser {
                 self.bump();
                 Ok(Expr::Parameter(p))
             }
-            Tok::Ident(_) | Tok::EscapedIdent(_) => {
-                let v = self.name("variable")?;
-                Ok(Expr::Variable(v))
-            }
-            Tok::LParen => {
-                // A parenthesis opens either a parenthesized expression or a
-                // pattern predicate `(a)-[:T]->(b)`. Try the pattern first
-                // and backtrack on failure (the grammar keeps them apart by
-                // what follows the closing parenthesis).
-                let snapshot = self.pos;
-                if let Ok(pattern) = self.try_pattern_predicate() {
-                    return Ok(Expr::PatternPredicate(Box::new(pattern)));
-                }
-                self.pos = snapshot;
-                self.bump();
-                let inner = self.expr()?;
-                self.expect(&Tok::RParen)?;
-                Ok(inner)
-            }
-            Tok::LBracket => {
-                self.bump();
-                // List comprehension: `[x IN list …]` (lookahead IDENT IN).
-                if matches!(self.peek().tok, Tok::Ident(_) | Tok::EscapedIdent(_))
-                    && self.peek_at(1).is_kw("IN")
-                {
-                    let var = self.name("comprehension variable")?;
-                    self.expect_kw("IN")?;
-                    let list = self.expr()?;
-                    let filter = if self.eat_kw("WHERE") {
-                        Some(Box::new(self.expr()?))
-                    } else {
-                        None
-                    };
-                    let body = if self.eat(&Tok::Pipe) {
-                        Some(Box::new(self.expr()?))
-                    } else {
-                        None
-                    };
-                    self.expect(&Tok::RBracket)?;
-                    return Ok(Expr::ListComprehension {
-                        var,
-                        list: Box::new(list),
-                        filter,
-                        body,
-                    });
-                }
-                let mut items = Vec::new();
-                if !self.at(&Tok::RBracket) {
-                    items.push(self.expr()?);
-                    while self.eat(&Tok::Comma) {
-                        items.push(self.expr()?);
-                    }
-                }
-                self.expect(&Tok::RBracket)?;
-                Ok(Expr::List(items))
-            }
-            Tok::LBrace => {
-                let entries = self.map_entries()?;
-                Ok(Expr::Map(entries))
-            }
+            Tok::Ident(_) | Tok::EscapedIdent(_) => Ok(Expr::Variable(self.name("variable")?)),
+            Tok::LParen => self.group(),
+            Tok::LBracket => self.list(),
+            Tok::LBrace => Ok(Expr::Map(self.map_entries()?)),
             other => Err(self.err_here(format!("expected an expression, found '{other}'"))),
         }
+    }
+
+    /// A function call, `count(*)`, a quantifier or `reduce`. Compound
+    /// atoms have functions of their own: an unoptimised build gives a
+    /// function one frame for all its branches, and nesting recurses
+    /// through `atom`.
+    fn call(&mut self) -> Result<Expr> {
+        let name = self.name("function name")?;
+        self.bump(); // '('
+        if name.eq_ignore_ascii_case("count") && self.at(&Tok::Star) {
+            self.bump();
+            self.expect(&Tok::RParen)?;
+            return Ok(Expr::CountStar);
+        }
+        // Quantifiers: all/any/none/single(x IN list WHERE pred).
+        if let Some(kind) = QuantifierKind::from_name(&name) {
+            if matches!(self.peek().tok, Tok::Ident(_) | Tok::EscapedIdent(_))
+                && self.peek_at(1).is_kw("IN")
+            {
+                let var = self.name("quantifier variable")?;
+                self.expect_kw("IN")?;
+                let list = self.expr_bp(0)?;
+                self.expect_kw("WHERE")?;
+                let pred = self.expr_bp(0)?;
+                self.expect(&Tok::RParen)?;
+                return Ok(Expr::Quantifier {
+                    kind,
+                    var,
+                    list: Box::new(list),
+                    pred: Box::new(pred),
+                });
+            }
+        }
+        // reduce(acc = init, x IN list | body).
+        if name.eq_ignore_ascii_case("reduce")
+            && matches!(self.peek().tok, Tok::Ident(_) | Tok::EscapedIdent(_))
+            && self.peek_at(1).tok == Tok::Eq
+        {
+            let acc = self.name("accumulator")?;
+            self.expect(&Tok::Eq)?;
+            let init = self.expr_bp(0)?;
+            self.expect(&Tok::Comma)?;
+            let var = self.name("iteration variable")?;
+            self.expect_kw("IN")?;
+            let list = self.expr_bp(0)?;
+            self.expect(&Tok::Pipe)?;
+            let body = self.expr_bp(0)?;
+            self.expect(&Tok::RParen)?;
+            return Ok(Expr::Reduce {
+                acc,
+                init: Box::new(init),
+                var,
+                list: Box::new(list),
+                body: Box::new(body),
+            });
+        }
+        let distinct = self.eat_kw("DISTINCT");
+        let mut args = Vec::new();
+        if !self.at(&Tok::RParen) {
+            args.push(self.expr_bp(0)?);
+            while self.eat(&Tok::Comma) {
+                args.push(self.expr_bp(0)?);
+            }
+        }
+        self.expect(&Tok::RParen)?;
+        Ok(Expr::FnCall {
+            name,
+            distinct,
+            args,
+        })
+    }
+
+    /// A parenthesised expression or a pattern predicate.
+    fn group(&mut self) -> Result<Expr> {
+        // A parenthesis opens either a parenthesized expression or a
+        // pattern predicate `(a)-[:T]->(b)`. Try the pattern first and
+        // backtrack on failure (the grammar keeps them apart by what
+        // follows the closing parenthesis). Both readings count from the
+        // same level, and the pattern never nests deeper than the
+        // expression would, so a depth refusal is final.
+        let saved = (self.pos, self.depth, self.peak);
+        match self.try_pattern_predicate() {
+            Ok(pattern) => return Ok(Expr::PatternPredicate(Box::new(pattern))),
+            Err(e) if self.peak > MAX_EXPR_DEPTH => return Err(e),
+            Err(_) => (self.pos, self.depth, self.peak) = saved,
+        }
+        self.bump();
+        // A group builds no node: its contents sit at its own level.
+        self.depth -= 1;
+        let inner = self.expr_bp(0)?;
+        self.depth += 1;
+        self.expect(&Tok::RParen)?;
+        Ok(inner)
+    }
+
+    /// A list literal or a list comprehension.
+    fn list(&mut self) -> Result<Expr> {
+        self.bump();
+        // List comprehension: `[x IN list …]` (lookahead IDENT IN).
+        if matches!(self.peek().tok, Tok::Ident(_) | Tok::EscapedIdent(_))
+            && self.peek_at(1).is_kw("IN")
+        {
+            let var = self.name("comprehension variable")?;
+            self.expect_kw("IN")?;
+            let list = self.expr_bp(0)?;
+            let filter = if self.eat_kw("WHERE") {
+                Some(Box::new(self.expr_bp(0)?))
+            } else {
+                None
+            };
+            let body = if self.eat(&Tok::Pipe) {
+                Some(Box::new(self.expr_bp(0)?))
+            } else {
+                None
+            };
+            self.expect(&Tok::RBracket)?;
+            return Ok(Expr::ListComprehension {
+                var,
+                list: Box::new(list),
+                filter,
+                body,
+            });
+        }
+        let mut items = Vec::new();
+        if !self.at(&Tok::RBracket) {
+            items.push(self.expr_bp(0)?);
+            while self.eat(&Tok::Comma) {
+                items.push(self.expr_bp(0)?);
+            }
+        }
+        self.expect(&Tok::RBracket)?;
+        Ok(Expr::List(items))
     }
 
     /// Attempt to parse a pattern predicate (node pattern + ≥1 step) from
@@ -1073,20 +1126,20 @@ impl Parser {
         let input = if self.at_kw("WHEN") {
             None
         } else {
-            Some(Box::new(self.expr()?))
+            Some(Box::new(self.expr_bp(0)?))
         };
         let mut branches = Vec::new();
         while self.eat_kw("WHEN") {
-            let when = self.expr()?;
+            let when = self.expr_bp(0)?;
             self.expect_kw("THEN")?;
-            let then = self.expr()?;
+            let then = self.expr_bp(0)?;
             branches.push((when, then));
         }
         if branches.is_empty() {
             return Err(self.err_here("CASE requires at least one WHEN branch"));
         }
         let else_branch = if self.eat_kw("ELSE") {
-            Some(Box::new(self.expr()?))
+            Some(Box::new(self.expr_bp(0)?))
         } else {
             None
         };
@@ -1306,6 +1359,34 @@ mod tests {
             panic!()
         };
         assert!(matches!(rhs.as_ref(), Expr::Binary(BinOp::Pow, _, _)));
+    }
+
+    #[test]
+    fn operators_apply_only_where_their_level_allows() {
+        // Nothing tighter than a predicate may follow `IS NULL`.
+        assert!(parse("RETURN a IS NULL + 1").is_err());
+        assert!(parse("RETURN a IS NULL.k").is_err());
+        // `NOT` is a prefix operator only where a conjunct may start;
+        // elsewhere it is a name, here a function's.
+        let cs = clauses("RETURN 1 = NOT (true)");
+        let Clause::Return(p) = &cs[0] else { panic!() };
+        let ProjectionItems::Items(items) = &p.items else {
+            panic!()
+        };
+        let Expr::Binary(BinOp::Eq, _, rhs) = &items[0].expr else {
+            panic!("expected =, got {:?}", items[0].expr)
+        };
+        assert!(matches!(rhs.as_ref(), Expr::FnCall { name, .. } if name == "NOT"));
+        // Unary minus binds tighter than `^`.
+        let cs = clauses("RETURN -2 ^ 2");
+        let Clause::Return(p) = &cs[0] else { panic!() };
+        let ProjectionItems::Items(items) = &p.items else {
+            panic!()
+        };
+        let Expr::Binary(BinOp::Pow, lhs, _) = &items[0].expr else {
+            panic!("expected ^, got {:?}", items[0].expr)
+        };
+        assert!(matches!(lhs.as_ref(), Expr::Unary(UnaryOp::Neg, _)));
     }
 
     #[test]

@@ -313,6 +313,22 @@ fn live_server_survives_truncated_and_corrupt_frames() {
     client.run("CREATE (:Survivor)").unwrap();
     let rows = client.run("MATCH (n:Survivor) RETURN n").unwrap();
     assert_eq!(rows.rows.len(), 1);
+
+    // A statement nested far past the parser's bound is a parse error,
+    // not a dead session thread, and the session goes on serving.
+    let hostile = format!("RETURN {}1{}", "(".repeat(100_000), ")".repeat(100_000));
+    let err = client.run(&hostile).expect_err("nesting past the bound");
+    assert_eq!(err.code(), Some(cypher_server::ErrorCode::Parse), "{err}");
+    let rows = client.run("MATCH (n:Survivor) RETURN n").unwrap();
+    assert_eq!(rows.rows.len(), 1);
     client.goodbye().unwrap();
+    let mut fresh = cypher_server::Client::connect(
+        handle.addr(),
+        &cypher_server::HelloOptions::server_defaults(),
+    )
+    .unwrap();
+    let rows = fresh.run("MATCH (n:Survivor) RETURN n").unwrap();
+    assert_eq!(rows.rows.len(), 1);
+    fresh.goodbye().unwrap();
     handle.stop();
 }

@@ -66,8 +66,9 @@ run "fuzz smoke" fuzz_smoke
 
 # Server round trip: start cypher-serve on an ephemeral port, drive it
 # with a scripted cypher-client session (create/match/merge/delete plus a
-# deliberately budget-tripped statement that must come back as a typed
-# error), then shut it down over the wire and check a clean exit.
+# deliberately budget-tripped statement and a statement nested past the
+# parser's depth bound, both of which must come back as typed errors),
+# then shut it down over the wire and check a clean exit.
 server_roundtrip() {
     data_dir=$(mktemp -d) || return 1
     log="$data_dir/serve.log"
@@ -87,11 +88,16 @@ server_roundtrip() {
         rm -rf "$data_dir"
         return 1
     fi
+    # ~40 KB of nesting: far past the parser's depth bound, so it must come
+    # back as a parse error from a session that goes on serving.
+    hostile="RETURN $(printf '%.0s(' $(seq 20000))1$(printf '%.0s)' $(seq 20000))"
     ./target/debug/cypher-client --addr "$addr" --rows 100 \
         --run "CREATE (a:User {name: 'Ann'})-[:KNOWS]->(:User {name: 'Bob'})" \
         --run "MATCH (u:User) RETURN u.name ORDER BY u.name" \
         --run "MERGE ALL (:User {name: 'Ann'})" \
         --expect-error "UNWIND range(1, 100000) AS x RETURN x" \
+        --expect-error "$hostile" \
+        --run "MATCH (u:User) RETURN count(u)" \
         --run "MATCH (u:User {name: 'Bob'}) DETACH DELETE u" \
         --dump --checkpoint --shutdown
     client_status=$?

@@ -3,9 +3,13 @@
 //! this is the cheap insurance that recursive descent didn't leave an
 //! `unwrap` on a user-controlled path.)
 
+use std::time::{Duration, Instant};
+
 use proptest::prelude::*;
 
-use cypher_parser::{parse, parse_script, validate, Dialect};
+use cypher_core::Engine;
+use cypher_graph::PropertyGraph;
+use cypher_parser::{parse, parse_script, print_query, validate, Dialect, MAX_EXPR_DEPTH};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2048))]
@@ -64,4 +68,177 @@ proptest! {
             let _ = e.render(&input);
         }
     }
+}
+
+/// One nesting shape: `build(n)` nests `n` levels deep, counted as
+/// [`MAX_EXPR_DEPTH`] counts them.
+struct Shape {
+    name: &'static str,
+    build: fn(usize) -> String,
+}
+
+fn nest(open: &str, leaf: &str, close: &str, n: usize) -> String {
+    format!("{}{leaf}{}", open.repeat(n), close.repeat(n))
+}
+
+const SHAPES: &[Shape] = &[
+    Shape {
+        name: "parentheses",
+        build: |n| format!("RETURN {}", nest("(", "1", ")", n)),
+    },
+    Shape {
+        name: "lists",
+        build: |n| format!("RETURN {}", nest("[", "", "]", n)),
+    },
+    Shape {
+        name: "maps",
+        build: |n| format!("RETURN {}", nest("{a: ", "{}", "}", n - 1)),
+    },
+    Shape {
+        name: "function calls",
+        build: |n| format!("RETURN {}", nest("abs(", "1", ")", n - 1)),
+    },
+    Shape {
+        name: "CASE",
+        build: |n| {
+            format!(
+                "RETURN {}",
+                nest("CASE WHEN true THEN ", "1", " END", n - 1)
+            )
+        },
+    },
+    Shape {
+        name: "NOT",
+        build: |n| format!("RETURN {}true", "NOT ".repeat(n - 1)),
+    },
+    Shape {
+        name: "unary minus",
+        build: |n| format!("RETURN {}1", "- ".repeat(n - 1)),
+    },
+    Shape {
+        name: "power",
+        build: |n| format!("RETURN {}1", "1 ^ ".repeat(n - 1)),
+    },
+    Shape {
+        name: "left-deep +",
+        build: |n| format!("RETURN 1{}", " + 1".repeat(n - 1)),
+    },
+    Shape {
+        name: "left-deep AND",
+        build: |n| format!("RETURN true{}", " AND true".repeat(n - 1)),
+    },
+    Shape {
+        name: "comparison chain",
+        build: |n| format!("RETURN 0{}", " <= 0".repeat(n - 1)),
+    },
+    Shape {
+        name: "IS NULL chain",
+        build: |n| format!("RETURN 1{}", " IS NULL".repeat(n - 1)),
+    },
+    Shape {
+        name: "property chain",
+        build: |n| format!("WITH {{}} AS m RETURN m{}", ".a".repeat(n - 1)),
+    },
+    Shape {
+        name: "index chain",
+        build: |n| format!("WITH [] AS l RETURN l{}", "[0]".repeat(n - 1)),
+    },
+    Shape {
+        name: "comprehension",
+        build: |n| format!("RETURN {}", nest("[x IN ", "[]", " | x]", n - 1)),
+    },
+    Shape {
+        name: "reduce",
+        build: |n| {
+            format!(
+                "RETURN {}",
+                nest("reduce(s = [], x IN ", "[]", " | s)", n - 1)
+            )
+        },
+    },
+    Shape {
+        name: "pattern-predicate property maps",
+        build: |n| {
+            format!(
+                "MATCH (a) RETURN {}",
+                nest("(a {p: ", "1", "})-->()", n - 1)
+            )
+        },
+    },
+    Shape {
+        name: "FOREACH",
+        build: |n| nest("FOREACH (x IN [1] | ", "CREATE ()", ")", n - 1),
+    },
+];
+
+/// Runs `f` on a thread with the 2 MiB stack that `std` gives session and
+/// worker threads by default.
+fn on_small_stack(f: impl FnOnce() + Send + 'static) {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(f)
+        .expect("spawn test thread")
+        .join()
+        .expect("test thread panicked");
+}
+
+/// Every pass over a statement nested exactly [`MAX_EXPR_DEPTH`] deep
+/// returns; one level deeper, and 100 000 levels deep, the parser refuses
+/// it quickly with a positioned error.
+#[test]
+fn nesting_is_bounded_at_max_expr_depth() {
+    on_small_stack(|| {
+        for shape in SHAPES {
+            let text = (shape.build)(MAX_EXPR_DEPTH);
+            let q = parse(&text)
+                .unwrap_or_else(|e| panic!("{} at the cap must parse: {e}", shape.name));
+            let _ = validate(&q, Dialect::Cypher9);
+            let _ = cypher_analysis::analyze(&text, &q, Dialect::Cypher9);
+            let printed = print_query(&q);
+            parse(&printed).unwrap_or_else(|e| {
+                panic!("{}: printed form must re-parse: {e}\n{printed}", shape.name)
+            });
+            drop(q.clone());
+            let engine = Engine::legacy();
+            let mut graph = PropertyGraph::new();
+            engine
+                .run(&mut graph, "CREATE ()-[:T]->()")
+                .expect("seed graph");
+            engine
+                .run(&mut graph, &text)
+                .unwrap_or_else(|e| panic!("{} at the cap must run: {e}", shape.name));
+            engine
+                .explain(&graph, &text)
+                .unwrap_or_else(|e| panic!("{} at the cap must explain: {e}", shape.name));
+
+            for n in [MAX_EXPR_DEPTH + 1, 100_000] {
+                let text = (shape.build)(n);
+                let started = Instant::now();
+                let err = parse(&text).expect_err(shape.name);
+                assert!(err.span.is_some(), "{} at {n}: {err}", shape.name);
+                assert!(
+                    started.elapsed() < Duration::from_secs(1),
+                    "{} at {n} took {:?}",
+                    shape.name,
+                    started.elapsed()
+                );
+            }
+        }
+    });
+}
+
+/// A `(` is read as a pattern first and re-read as an expression, so a
+/// nest of node-pattern maps used to double the work per level.
+#[test]
+fn nested_pattern_maps_parse_in_linear_time() {
+    let nested = |n: usize| format!("RETURN {}", nest("({a: ", "1", "})", n));
+    let started = Instant::now();
+    parse(&nested(20)).expect("20 levels parse");
+    assert!(
+        started.elapsed() < Duration::from_millis(100),
+        "took {:?}",
+        started.elapsed()
+    );
+    let err = parse(&nested(MAX_EXPR_DEPTH)).expect_err("beyond the cap");
+    assert!(err.span.is_some());
 }
