@@ -13,7 +13,7 @@ pub mod functions;
 use std::collections::BTreeMap;
 
 use cypher_graph::{EntityRef, PropertyGraph, Ternary, Value};
-use cypher_parser::ast::{BinOp, Expr, Lit, UnaryOp};
+use cypher_parser::ast::{BinOp, Expr, Lit, QuantifierKind, UnaryOp};
 
 use crate::error::{EvalError, Result};
 use crate::table::Record;
@@ -80,34 +80,7 @@ pub fn eval(ctx: &EvalCtx, rec: &Record, expr: &Expr) -> Result<Value> {
             let v = eval(ctx, rec, inner)?;
             apply_unary(*op, v)
         }
-        Expr::Binary(op, l, r) => {
-            // Short-circuit boolean ops must still respect ternary logic:
-            // False AND x = False without evaluating x is safe; True OR x
-            // likewise.
-            match op {
-                BinOp::And => {
-                    let lv = truth(eval(ctx, rec, l)?, "AND")?;
-                    if lv == Ternary::False {
-                        return Ok(Value::Bool(false));
-                    }
-                    let rv = truth(eval(ctx, rec, r)?, "AND")?;
-                    Ok(lv.and(rv).into_value())
-                }
-                BinOp::Or => {
-                    let lv = truth(eval(ctx, rec, l)?, "OR")?;
-                    if lv == Ternary::True {
-                        return Ok(Value::Bool(true));
-                    }
-                    let rv = truth(eval(ctx, rec, r)?, "OR")?;
-                    Ok(lv.or(rv).into_value())
-                }
-                _ => {
-                    let lv = eval(ctx, rec, l)?;
-                    let rv = eval(ctx, rec, r)?;
-                    apply_binary(*op, lv, rv)
-                }
-            }
-        }
+        Expr::Binary(op, l, r) => eval_binary(ctx, rec, *op, l, r),
         Expr::IsNull { expr, negated } => {
             let v = eval(ctx, rec, expr)?;
             Ok(Value::Bool(v.is_null() != *negated))
@@ -118,174 +91,36 @@ pub fn eval(ctx: &EvalCtx, rec: &Record, expr: &Expr) -> Result<Value> {
             index_access(ctx.graph, &base, &idx)
         }
         Expr::Slice { base, from, to } => {
-            let base = eval(ctx, rec, base)?;
-            let from = from.as_ref().map(|e| eval(ctx, rec, e)).transpose()?;
-            let to = to.as_ref().map(|e| eval(ctx, rec, e)).transpose()?;
-            slice_access(&base, from, to)
+            eval_slice(ctx, rec, base, from.as_deref(), to.as_deref())
         }
         Expr::FnCall {
             name,
             distinct,
             args,
-        } => {
-            if cypher_parser::ast::is_aggregate_fn(name) {
-                return Err(EvalError::MisplacedAggregate);
-            }
-            if *distinct {
-                return Err(EvalError::BadArguments {
-                    function: name.clone(),
-                    message: "DISTINCT only applies to aggregates".into(),
-                });
-            }
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval(ctx, rec, a)?);
-            }
-            functions::call(ctx.graph, name, vals)
-        }
+        } => eval_call(ctx, rec, name, *distinct, args),
         Expr::CountStar => Err(EvalError::MisplacedAggregate),
         Expr::Case {
             input,
             branches,
             else_branch,
-        } => {
-            match input {
-                Some(input) => {
-                    let iv = eval(ctx, rec, input)?;
-                    for (when, then) in branches {
-                        let wv = eval(ctx, rec, when)?;
-                        if iv.cypher_eq(&wv).is_true() {
-                            return eval(ctx, rec, then);
-                        }
-                    }
-                }
-                None => {
-                    for (when, then) in branches {
-                        let wv = eval(ctx, rec, when)?;
-                        if truth(wv, "CASE WHEN")? == Ternary::True {
-                            return eval(ctx, rec, then);
-                        }
-                    }
-                }
-            }
-            match else_branch {
-                Some(e) => eval(ctx, rec, e),
-                None => Ok(Value::Null),
-            }
-        }
-        Expr::HasLabels(base, labels) => {
-            let v = eval(ctx, rec, base)?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Node(n) => {
-                    let has_all = labels.iter().all(|l| {
-                        ctx.graph
-                            .try_sym(l)
-                            .is_some_and(|sym| ctx.graph.labels(n).contains(&sym))
-                    });
-                    Ok(Value::Bool(has_all))
-                }
-                other => Err(type_err("node", &other, "label predicate")),
-            }
-        }
+        } => eval_case(ctx, rec, input.as_deref(), branches, else_branch.as_deref()),
+        Expr::HasLabels(base, labels) => eval_has_labels(ctx, rec, base, labels),
         Expr::ListComprehension {
             var,
             list,
             filter,
             body,
-        } => {
-            let items = match eval(ctx, rec, list)? {
-                Value::Null => return Ok(Value::Null),
-                Value::List(items) => items,
-                other => return Err(type_err("list", &other, "list comprehension")),
-            };
-            let mut out = Vec::new();
-            let mut env = rec.clone();
-            for item in items {
-                env.bind(var.clone(), item.clone());
-                if let Some(f) = filter {
-                    if !truth(eval(ctx, &env, f)?, "comprehension filter")?.is_true() {
-                        continue;
-                    }
-                }
-                out.push(match body {
-                    Some(b) => eval(ctx, &env, b)?,
-                    None => item,
-                });
-            }
-            Ok(Value::List(out))
-        }
+        } => eval_comprehension(ctx, rec, var, list, filter.as_deref(), body.as_deref()),
         Expr::Quantifier {
             kind,
             var,
             list,
             pred,
-        } => {
-            use cypher_parser::ast::QuantifierKind;
-            let items = match eval(ctx, rec, list)? {
-                Value::Null => return Ok(Value::Null),
-                Value::List(items) => items,
-                other => return Err(type_err("list", &other, "quantifier")),
-            };
-            let mut env = rec.clone();
-            let mut trues = 0usize;
-            let mut unknowns = 0usize;
-            for item in items.iter() {
-                env.bind(var.clone(), item.clone());
-                match truth(eval(ctx, &env, pred)?, "quantifier predicate")? {
-                    Ternary::True => trues += 1,
-                    Ternary::Unknown => unknowns += 1,
-                    Ternary::False => {}
-                }
-            }
-            let falses = items.len() - trues - unknowns;
-            // Ternary quantifier semantics (openCypher): unknown inputs can
-            // make the result unknown when they could flip it.
-            let result = match kind {
-                QuantifierKind::All => {
-                    if falses > 0 {
-                        Ternary::False
-                    } else if unknowns > 0 {
-                        Ternary::Unknown
-                    } else {
-                        Ternary::True
-                    }
-                }
-                QuantifierKind::Any => {
-                    if trues > 0 {
-                        Ternary::True
-                    } else if unknowns > 0 {
-                        Ternary::Unknown
-                    } else {
-                        Ternary::False
-                    }
-                }
-                QuantifierKind::None => {
-                    if trues > 0 {
-                        Ternary::False
-                    } else if unknowns > 0 {
-                        Ternary::Unknown
-                    } else {
-                        Ternary::True
-                    }
-                }
-                QuantifierKind::Single => {
-                    if trues > 1 {
-                        Ternary::False
-                    } else if unknowns > 0 {
-                        Ternary::Unknown
-                    } else {
-                        Ternary::from_bool(trues == 1)
-                    }
-                }
-            };
-            Ok(result.into_value())
-        }
+        } => eval_quantifier(ctx, rec, *kind, var, list, pred),
         Expr::PatternPredicate(pattern) => {
             let matcher = crate::pattern::Matcher::new(ctx.graph, ctx.params, ctx.match_mode);
-            Ok(Value::Bool(
-                matcher.any_match(rec, std::slice::from_ref(pattern))?,
-            ))
+            let found = matcher.any_match(rec, std::slice::from_ref(pattern.as_ref()));
+            Ok(Value::Bool(found?))
         }
         Expr::Reduce {
             acc,
@@ -293,22 +128,255 @@ pub fn eval(ctx: &EvalCtx, rec: &Record, expr: &Expr) -> Result<Value> {
             var,
             list,
             body,
-        } => {
-            let items = match eval(ctx, rec, list)? {
-                Value::Null => return Ok(Value::Null),
-                Value::List(items) => items,
-                other => return Err(type_err("list", &other, "reduce")),
-            };
-            let mut env = rec.clone();
-            let mut accumulator = eval(ctx, rec, init)?;
-            for item in items {
-                env.bind(acc.clone(), accumulator);
-                env.bind(var.clone(), item);
-                accumulator = eval(ctx, &env, body)?;
+        } => eval_reduce(ctx, rec, acc, init, var, list, body),
+    }
+}
+
+// The compound arms of `eval` live in functions of their own: an
+// unoptimised build gives a function one stack frame for the locals of all
+// its arms, and every nesting level of an expression recurses through
+// `eval`.
+
+fn eval_binary(ctx: &EvalCtx, rec: &Record, op: BinOp, l: &Expr, r: &Expr) -> Result<Value> {
+    // Short-circuit boolean ops must still respect ternary logic:
+    // False AND x = False without evaluating x is safe; True OR x
+    // likewise.
+    match op {
+        BinOp::And => {
+            let lv = truth(eval(ctx, rec, l)?, "AND")?;
+            if lv == Ternary::False {
+                return Ok(Value::Bool(false));
             }
-            Ok(accumulator)
+            let rv = truth(eval(ctx, rec, r)?, "AND")?;
+            Ok(lv.and(rv).into_value())
+        }
+        BinOp::Or => {
+            let lv = truth(eval(ctx, rec, l)?, "OR")?;
+            if lv == Ternary::True {
+                return Ok(Value::Bool(true));
+            }
+            let rv = truth(eval(ctx, rec, r)?, "OR")?;
+            Ok(lv.or(rv).into_value())
+        }
+        _ => {
+            let lv = eval(ctx, rec, l)?;
+            let rv = eval(ctx, rec, r)?;
+            apply_binary(op, lv, rv)
         }
     }
+}
+
+fn eval_slice(
+    ctx: &EvalCtx,
+    rec: &Record,
+    base: &Expr,
+    from: Option<&Expr>,
+    to: Option<&Expr>,
+) -> Result<Value> {
+    let base = eval(ctx, rec, base)?;
+    let from = from.map(|e| eval(ctx, rec, e)).transpose()?;
+    let to = to.map(|e| eval(ctx, rec, e)).transpose()?;
+    slice_access(&base, from, to)
+}
+
+fn eval_has_labels(ctx: &EvalCtx, rec: &Record, base: &Expr, labels: &[String]) -> Result<Value> {
+    match eval(ctx, rec, base)? {
+        Value::Null => Ok(Value::Null),
+        Value::Node(n) => {
+            let has_all = labels.iter().all(|l| {
+                ctx.graph
+                    .try_sym(l)
+                    .is_some_and(|sym| ctx.graph.labels(n).contains(&sym))
+            });
+            Ok(Value::Bool(has_all))
+        }
+        other => Err(type_err("node", &other, "label predicate")),
+    }
+}
+
+fn eval_call(
+    ctx: &EvalCtx,
+    rec: &Record,
+    name: &str,
+    distinct: bool,
+    args: &[Expr],
+) -> Result<Value> {
+    if cypher_parser::ast::is_aggregate_fn(name) {
+        return Err(EvalError::MisplacedAggregate);
+    }
+    if distinct {
+        return Err(EvalError::BadArguments {
+            function: name.to_owned(),
+            message: "DISTINCT only applies to aggregates".into(),
+        });
+    }
+    let mut vals = Vec::with_capacity(args.len());
+    for a in args {
+        vals.push(eval(ctx, rec, a)?);
+    }
+    functions::call(ctx.graph, name, vals)
+}
+
+fn eval_case(
+    ctx: &EvalCtx,
+    rec: &Record,
+    input: Option<&Expr>,
+    branches: &[(Expr, Expr)],
+    else_branch: Option<&Expr>,
+) -> Result<Value> {
+    match input {
+        Some(input) => {
+            let iv = eval(ctx, rec, input)?;
+            for (when, then) in branches {
+                let wv = eval(ctx, rec, when)?;
+                if iv.cypher_eq(&wv).is_true() {
+                    return eval(ctx, rec, then);
+                }
+            }
+        }
+        None => {
+            for (when, then) in branches {
+                let wv = eval(ctx, rec, when)?;
+                if truth(wv, "CASE WHEN")? == Ternary::True {
+                    return eval(ctx, rec, then);
+                }
+            }
+        }
+    }
+    match else_branch {
+        Some(e) => eval(ctx, rec, e),
+        None => Ok(Value::Null),
+    }
+}
+
+/// The items of a list operand; `None` for `null`.
+fn list_items(
+    ctx: &EvalCtx,
+    rec: &Record,
+    list: &Expr,
+    context: &'static str,
+) -> Result<Option<Vec<Value>>> {
+    match eval(ctx, rec, list)? {
+        Value::Null => Ok(None),
+        Value::List(items) => Ok(Some(items)),
+        other => Err(type_err("list", &other, context)),
+    }
+}
+
+fn eval_comprehension(
+    ctx: &EvalCtx,
+    rec: &Record,
+    var: &str,
+    list: &Expr,
+    filter: Option<&Expr>,
+    body: Option<&Expr>,
+) -> Result<Value> {
+    let Some(items) = list_items(ctx, rec, list, "list comprehension")? else {
+        return Ok(Value::Null);
+    };
+    let mut out = Vec::new();
+    let mut env = rec.clone();
+    for item in items {
+        env.bind(var.to_owned(), item.clone());
+        if let Some(f) = filter {
+            if !truth(eval(ctx, &env, f)?, "comprehension filter")?.is_true() {
+                continue;
+            }
+        }
+        out.push(match body {
+            Some(b) => eval(ctx, &env, b)?,
+            None => item,
+        });
+    }
+    Ok(Value::List(out))
+}
+
+fn eval_quantifier(
+    ctx: &EvalCtx,
+    rec: &Record,
+    kind: QuantifierKind,
+    var: &str,
+    list: &Expr,
+    pred: &Expr,
+) -> Result<Value> {
+    let Some(items) = list_items(ctx, rec, list, "quantifier")? else {
+        return Ok(Value::Null);
+    };
+    let mut env = rec.clone();
+    let mut trues = 0usize;
+    let mut unknowns = 0usize;
+    for item in items.iter() {
+        env.bind(var.to_owned(), item.clone());
+        match truth(eval(ctx, &env, pred)?, "quantifier predicate")? {
+            Ternary::True => trues += 1,
+            Ternary::Unknown => unknowns += 1,
+            Ternary::False => {}
+        }
+    }
+    let falses = items.len() - trues - unknowns;
+    // Ternary quantifier semantics (openCypher): unknown inputs can make
+    // the result unknown when they could flip it.
+    let result = match kind {
+        QuantifierKind::All => {
+            if falses > 0 {
+                Ternary::False
+            } else if unknowns > 0 {
+                Ternary::Unknown
+            } else {
+                Ternary::True
+            }
+        }
+        QuantifierKind::Any => {
+            if trues > 0 {
+                Ternary::True
+            } else if unknowns > 0 {
+                Ternary::Unknown
+            } else {
+                Ternary::False
+            }
+        }
+        QuantifierKind::None => {
+            if trues > 0 {
+                Ternary::False
+            } else if unknowns > 0 {
+                Ternary::Unknown
+            } else {
+                Ternary::True
+            }
+        }
+        QuantifierKind::Single => {
+            if trues > 1 {
+                Ternary::False
+            } else if unknowns > 0 {
+                Ternary::Unknown
+            } else {
+                Ternary::from_bool(trues == 1)
+            }
+        }
+    };
+    Ok(result.into_value())
+}
+
+fn eval_reduce(
+    ctx: &EvalCtx,
+    rec: &Record,
+    acc: &str,
+    init: &Expr,
+    var: &str,
+    list: &Expr,
+    body: &Expr,
+) -> Result<Value> {
+    let Some(items) = list_items(ctx, rec, list, "reduce")? else {
+        return Ok(Value::Null);
+    };
+    let mut env = rec.clone();
+    let mut accumulator = eval(ctx, rec, init)?;
+    for item in items {
+        env.bind(acc.to_owned(), accumulator);
+        env.bind(var.to_owned(), item);
+        accumulator = eval(ctx, &env, body)?;
+    }
+    Ok(accumulator)
 }
 
 /// Evaluate a predicate to ternary truth (`WHERE`, `CASE WHEN`, …).

@@ -449,10 +449,6 @@ fn explain_projection(p: &Projection) -> String {
     parts.join(", ")
 }
 
-// `contains_aggregate` lives on Expr; re-exported trait-less use above.
-#[allow(unused_imports)]
-use cypher_parser::ast::is_aggregate_fn as _kept;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -73,11 +73,16 @@ impl fmt::Display for ExecLimits {
     }
 }
 
-/// Live budget state for one statement execution.
+/// Live budget state for one statement execution. The row count is
+/// atomic so that the morsel workers of a parallel read
+/// (`crate::exec::read`) borrow the statement's guard directly: every
+/// clause, serial or parallel, charges the same cumulative counter, and
+/// once it trips every later charge in any worker fails, which bounds
+/// wasted work after an error without any extra cancellation machinery.
 #[derive(Debug)]
 pub(crate) struct ExecGuard {
     limits: ExecLimits,
-    rows: u64,
+    rows: AtomicU64,
     deadline: Option<Instant>,
 }
 
@@ -85,7 +90,7 @@ impl ExecGuard {
     pub(crate) fn new(limits: ExecLimits) -> ExecGuard {
         ExecGuard {
             limits,
-            rows: 0,
+            rows: AtomicU64::new(0),
             // The deadline is fixed at statement start; a zero timeout
             // trips on the very first check (`now >= deadline`).
             deadline: limits
@@ -95,11 +100,17 @@ impl ExecGuard {
     }
 
     /// Charge `n` materialized rows and check the row budget + deadline.
-    pub(crate) fn charge_rows(&mut self, n: usize) -> Result<()> {
+    pub(crate) fn charge_rows(&self, n: usize) -> Result<()> {
         self.check_deadline()?;
-        self.rows = self.rows.saturating_add(n as u64);
+        // `Relaxed`: the count publishes no other data; `scatter`'s latch
+        // orders the workers' charges before the statement's next clause.
+        let add = |r: u64| Some(r.saturating_add(n as u64));
+        let before = self
+            .rows
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, add);
+        let rows = before.unwrap_or_else(|r| r).saturating_add(n as u64);
         if let Some(limit) = self.limits.max_rows {
-            if self.rows > limit {
+            if rows > limit {
                 return Err(EvalError::ResourceExhausted {
                     resource: "rows",
                     limit,
@@ -111,7 +122,7 @@ impl ExecGuard {
 
     /// Check the write budget against the statement's running counters,
     /// plus the deadline.
-    pub(crate) fn check_writes(&mut self, stats: &UpdateStats) -> Result<()> {
+    pub(crate) fn check_writes(&self, stats: &UpdateStats) -> Result<()> {
         self.check_deadline()?;
         if let Some(limit) = self.limits.max_writes {
             if stats.total_ops() as u64 > limit {
@@ -126,69 +137,17 @@ impl ExecGuard {
 
     /// Cooperative cancellation point: has the wall-clock deadline passed?
     pub(crate) fn check_deadline(&self) -> Result<()> {
-        deadline_check(self.deadline, &self.limits)
-    }
-
-    /// Fork the guard's current budget state for a parallel read region:
-    /// workers charge the returned [`SharedGuard`] instead of this guard.
-    pub(crate) fn fork_shared(&self) -> SharedGuard {
-        SharedGuard {
-            limits: self.limits,
-            rows: AtomicU64::new(self.rows),
-            deadline: self.deadline,
-        }
-    }
-
-    /// Re-absorb the row count accumulated by a parallel region, so later
-    /// (serial) clauses of the same statement keep charging cumulatively.
-    pub(crate) fn join_shared(&mut self, shared: &SharedGuard) {
-        self.rows = shared.rows.load(Ordering::SeqCst).max(self.rows);
-    }
-}
-
-fn deadline_check(deadline: Option<Instant>, limits: &ExecLimits) -> Result<()> {
-    if let Some(deadline) = deadline {
-        if Instant::now() >= deadline {
-            return Err(EvalError::ResourceExhausted {
+        match self.deadline {
+            Some(deadline) if Instant::now() >= deadline => Err(EvalError::ResourceExhausted {
                 resource: "time (ms)",
-                limit: limits.timeout.map(|t| t.as_millis() as u64).unwrap_or(0),
-            });
+                limit: self
+                    .limits
+                    .timeout
+                    .map(|t| t.as_millis() as u64)
+                    .unwrap_or(0),
+            }),
+            _ => Ok(()),
         }
-    }
-    Ok(())
-}
-
-/// Thread-safe view of one statement's budgets for the parallel read
-/// executor (`crate::exec::read`): workers charge a common atomic row
-/// counter against the same limits and deadline as the serial guard.
-/// Enforcement stays cooperative (strictly greater-than, like serial);
-/// once the pooled counter trips, every subsequent charge in any worker
-/// fails, which bounds wasted work after an error without any extra
-/// cancellation machinery.
-#[derive(Debug)]
-pub(crate) struct SharedGuard {
-    limits: ExecLimits,
-    rows: AtomicU64,
-    deadline: Option<Instant>,
-}
-
-impl SharedGuard {
-    /// Charge `n` materialized rows and check the row budget + deadline.
-    pub(crate) fn charge_rows(&self, n: usize) -> Result<()> {
-        deadline_check(self.deadline, &self.limits)?;
-        let rows = self
-            .rows
-            .fetch_add(n as u64, Ordering::Relaxed)
-            .saturating_add(n as u64);
-        if let Some(limit) = self.limits.max_rows {
-            if rows > limit {
-                return Err(EvalError::ResourceExhausted {
-                    resource: "rows",
-                    limit,
-                });
-            }
-        }
-        Ok(())
     }
 }
 
@@ -215,7 +174,7 @@ mod tests {
 
     #[test]
     fn unlimited_guard_never_trips() {
-        let mut g = ExecGuard::new(ExecLimits::NONE);
+        let g = ExecGuard::new(ExecLimits::NONE);
         g.charge_rows(usize::MAX).unwrap();
         g.check_writes(&UpdateStats {
             nodes_created: usize::MAX,
@@ -227,7 +186,7 @@ mod tests {
 
     #[test]
     fn row_budget_is_cumulative_and_strict() {
-        let mut g = ExecGuard::new(ExecLimits {
+        let g = ExecGuard::new(ExecLimits {
             max_rows: Some(10),
             ..ExecLimits::NONE
         });
@@ -245,7 +204,7 @@ mod tests {
 
     #[test]
     fn write_budget_reads_statement_counters() {
-        let mut g = ExecGuard::new(ExecLimits {
+        let g = ExecGuard::new(ExecLimits {
             max_writes: Some(2),
             ..ExecLimits::NONE
         });
@@ -260,27 +219,36 @@ mod tests {
 
     #[test]
     fn shared_guard_pools_charges_across_threads() {
-        let mut g = ExecGuard::new(ExecLimits {
+        let g = ExecGuard::new(ExecLimits {
             max_rows: Some(100),
             ..ExecLimits::NONE
         });
         g.charge_rows(10).unwrap();
-        let shared = g.fork_shared();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..20 {
-                        shared.charge_rows(1).unwrap();
+                        g.charge_rows(1).unwrap();
                     }
                 });
             }
         });
         // 10 serial + 80 parallel charged; 10 more lands exactly on the
         // budget, the next one trips.
-        shared.charge_rows(10).unwrap();
-        assert!(shared.charge_rows(1).is_err());
-        g.join_shared(&shared);
+        g.charge_rows(10).unwrap();
         assert!(g.charge_rows(1).is_err());
+    }
+
+    #[test]
+    fn row_count_saturates_so_a_tripped_budget_stays_tripped() {
+        let g = ExecGuard::new(ExecLimits {
+            max_rows: Some(10),
+            ..ExecLimits::NONE
+        });
+        // A wrapping counter would come back round to 0 here.
+        for n in [usize::MAX, usize::MAX, 2, 1] {
+            assert!(g.charge_rows(n).is_err());
+        }
     }
 
     #[test]

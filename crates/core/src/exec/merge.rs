@@ -145,7 +145,7 @@ fn merge_legacy(
         crate::exec::ProcessingOrder::Reverse => Box::new((0..input.len()).rev()),
     } {
         let rec = &input.rows[i];
-        let matches = ctx.match_with_plan(rec, patterns, plan.as_ref())?;
+        let matches = ctx.matcher().match_planned(rec, patterns, plan.as_ref())?;
         // A failing record still materializes one (created) output row.
         ctx.charge_rows(matches.len().max(1))?;
         if matches.is_empty() {
@@ -272,7 +272,7 @@ fn merge_atomic_family(
     // rows_out[i] = Some(matched rows) or None (failing record).
     let mut matched: Vec<Option<Vec<Record>>> = Vec::with_capacity(input.len());
     for rec in &input.rows {
-        let m = ctx.match_with_plan(rec, patterns, plan.as_ref())?;
+        let m = ctx.matcher().match_planned(rec, patterns, plan.as_ref())?;
         // A failing record still materializes one (created) output row.
         ctx.charge_rows(m.len().max(1))?;
         matched.push(if m.is_empty() { None } else { Some(m) });

@@ -438,13 +438,13 @@ impl Engine {
         clauses: &[Clause],
     ) -> Result<Table> {
         let mut stats = UpdateStats::default();
-        let mut guard = ExecGuard::new(self.limits);
+        let guard = ExecGuard::new(self.limits);
         let mut ctx = ExecCtx {
             graph: GraphMut::Excl(graph),
             table,
             engine: self,
             stats: &mut stats,
-            guard: &mut guard,
+            guard: &guard,
             result_columns: None,
         };
         for clause in clauses {
@@ -456,8 +456,8 @@ impl Engine {
     fn run_union(&self, mut access: GraphMut<'_>, query: &Query) -> Result<QueryResult> {
         let mut stats = UpdateStats::default();
         // One guard for the whole statement: union arms share the budgets.
-        let mut guard = ExecGuard::new(self.limits);
-        let first = self.run_single(access.reborrow(), &query.first, &mut stats, &mut guard)?;
+        let guard = ExecGuard::new(self.limits);
+        let first = self.run_single(access.reborrow(), &query.first, &mut stats, &guard)?;
         if query.unions.is_empty() {
             return Ok(QueryResult {
                 columns: first.0,
@@ -471,8 +471,7 @@ impl Engine {
         for (kind, sq) in &query.unions {
             // §8.2: updates in unions are side-effects applied left-to-right
             // on the graph; tables are unioned.
-            let (cols, arm_rows) =
-                self.run_single(access.reborrow(), sq, &mut stats, &mut guard)?;
+            let (cols, arm_rows) = self.run_single(access.reborrow(), sq, &mut stats, &guard)?;
             if cols != columns {
                 return Err(EvalError::Dialect(ParseError::no_span(format!(
                     "UNION arms must return the same columns ({columns:?} vs {cols:?})"
@@ -498,7 +497,7 @@ impl Engine {
         graph: GraphMut<'_>,
         sq: &SingleQuery,
         stats: &mut UpdateStats,
-        guard: &mut ExecGuard,
+        guard: &ExecGuard,
     ) -> Result<(Vec<String>, Vec<Vec<Value>>)> {
         let mut ctx = ExecCtx {
             graph,
@@ -579,7 +578,7 @@ pub(crate) struct ExecCtx<'g, 'e> {
     pub table: Table,
     pub engine: &'e Engine,
     pub stats: &'e mut UpdateStats,
-    pub guard: &'e mut ExecGuard,
+    pub guard: &'e ExecGuard,
     /// Set by a RETURN clause: the declared column order.
     pub result_columns: Option<Vec<String>>,
 }
@@ -639,13 +638,13 @@ impl ExecCtx<'_, '_> {
 
     /// Charge `n` materialized rows against the statement's row budget
     /// (also a cooperative cancellation point for the deadline).
-    pub(crate) fn charge_rows(&mut self, n: usize) -> Result<()> {
+    pub(crate) fn charge_rows(&self, n: usize) -> Result<()> {
         self.guard.charge_rows(n)
     }
 
     /// Check the write budget against the statement's running counters
     /// (also a cooperative cancellation point for the deadline).
-    pub(crate) fn guard_writes(&mut self) -> Result<()> {
+    pub(crate) fn guard_writes(&self) -> Result<()> {
         self.guard.check_writes(self.stats)
     }
 
@@ -677,19 +676,6 @@ impl ExecCtx<'_, '_> {
         }
         let cols = self.table.columns();
         crate::plan::plan_clause(&self.graph, &self.engine.params, patterns, &cols)
-    }
-
-    /// Match `patterns` for one record, through the plan when one exists.
-    pub(crate) fn match_with_plan(
-        &self,
-        rec: &Record,
-        patterns: &[cypher_parser::ast::PathPattern],
-        plan: Option<&crate::plan::ClausePlan>,
-    ) -> Result<Vec<Record>> {
-        match plan {
-            Some(p) => self.matcher().match_patterns_planned(rec, p),
-            None => self.matcher().match_patterns(rec, patterns),
-        }
     }
 
     /// Read-only evaluation context over the current graph state.

@@ -5,6 +5,7 @@
 //! Reading clauses never modify the graph — in §8.1 terms,
 //! `[[C]](G, T) = (G, [[C]]^ro_G(T))`.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -16,10 +17,9 @@ use cypher_parser::ParseError;
 use crate::error::{EvalError, Result};
 use crate::eval::agg::{AggKind, Aggregator};
 use crate::eval::{apply_binary, apply_unary, eval, eval_predicate, property_access, EvalCtx};
-use crate::exec::guard::SharedGuard;
-use crate::exec::{Engine, ExecCtx, GraphMut};
+use crate::exec::{Engine, ExecCtx, ExecGuard, GraphMut};
 use crate::par::{scatter, ReadPool};
-use crate::pattern::Matcher;
+use crate::pattern::{naive_order, Matcher};
 use crate::plan::ClausePlan;
 use crate::table::{Record, Table};
 
@@ -34,278 +34,212 @@ pub(crate) fn match_clause(
     where_clause: Option<&Expr>,
 ) -> Result<()> {
     let plan = ctx.plan_patterns(patterns);
-    if match_clause_parallel(ctx, optional, patterns, where_clause, plan.as_ref())? {
-        return Ok(());
-    }
+    let step = MatchStep {
+        optional,
+        patterns,
+        where_clause,
+        plan: plan.as_ref(),
+    };
     let input = std::mem::take(&mut ctx.table);
-    let mut out = Vec::new();
-    for rec in &input.rows {
-        let matches = ctx.match_with_plan(rec, patterns, plan.as_ref())?;
-        let mut any = false;
-        for m in matches {
-            let keep = match where_clause {
-                Some(w) => eval_predicate(&ctx.eval_ctx(), &m, w)?.is_true(),
-                None => true,
-            };
-            if keep {
-                ctx.charge_rows(1)?;
-                any = true;
-                out.push(m);
+    let out = match Fanout::new(ctx, step.plan, input.len()) {
+        Some(fan) => fan.run(&step, &input.rows)?,
+        None => {
+            let matcher = ctx.matcher();
+            let mut out = Vec::new();
+            for rec in &input.rows {
+                step.extend(&matcher, ctx.guard, rec, &mut out)?;
             }
+            out
         }
-        if optional && !any {
-            ctx.charge_rows(1)?;
-            out.push(null_extended(rec, patterns));
-        }
-    }
+    };
     ctx.table = Table::from_rows(out);
     Ok(())
 }
 
-/// The `OPTIONAL MATCH` no-match fallback: `rec` with every pattern
-/// variable that is not already bound set to `null`.
-fn null_extended(rec: &Record, patterns: &[PathPattern]) -> Record {
-    let mut null_rec = rec.clone();
-    for var in pattern_variables(patterns) {
-        if !null_rec.is_bound(&var) {
-            null_rec.bind(var, Value::Null);
-        }
-    }
-    null_rec
+/// One `MATCH` clause as it runs: the patterns as written, the plan they
+/// run through (`None`: naive), the `WHERE` filter and `OPTIONAL`.
+struct MatchStep<'q> {
+    optional: bool,
+    patterns: &'q [PathPattern],
+    where_clause: Option<&'q Expr>,
+    plan: Option<&'q ClausePlan>,
 }
 
-/// Morsel-driven parallel `MATCH` (see DESIGN.md §13). Returns `Ok(true)`
-/// when the clause was executed in parallel (`ctx.table` replaced),
-/// `Ok(false)` to fall back to the serial loop above.
-///
-/// Eligibility: the engine opted in (`read_workers >= 2`), the graph
-/// handle is a shared immutable snapshot (`Engine::run_read`), and the
-/// clause carries enough work to repay fan-out. Two morsel axes:
+impl MatchStep<'_> {
+    /// The per-record step of §8.1, the one copy every executor runs:
+    /// every match of `rec` in naive order → `WHERE` → one charged row per
+    /// survivor → the `OPTIONAL MATCH` null row when none survive.
+    fn extend(
+        &self,
+        m: &Matcher,
+        guard: &ExecGuard,
+        rec: &Record,
+        out: &mut Vec<Record>,
+    ) -> Result<()> {
+        let matches = m.match_planned(rec, self.patterns, self.plan)?;
+        let kept = self.admit(m, guard, matches)?;
+        self.emit(guard, rec, kept, out)
+    }
+
+    /// `WHERE` and the row charge, over matches in the order given.
+    fn admit<T: Borrow<Record>>(
+        &self,
+        m: &Matcher,
+        guard: &ExecGuard,
+        matches: Vec<T>,
+    ) -> Result<Vec<T>> {
+        let mut kept = Vec::with_capacity(matches.len());
+        for x in matches {
+            if let Some(w) = self.where_clause {
+                if !eval_predicate(m.eval_ctx(), x.borrow(), w)?.is_true() {
+                    continue;
+                }
+            }
+            guard.charge_rows(1)?;
+            kept.push(x);
+        }
+        Ok(kept)
+    }
+
+    /// Append the surviving matches of `rec`, or its null row.
+    fn emit(
+        &self,
+        guard: &ExecGuard,
+        rec: &Record,
+        kept: Vec<Record>,
+        out: &mut Vec<Record>,
+    ) -> Result<()> {
+        if self.optional && kept.is_empty() {
+            guard.charge_rows(1)?;
+            let mut null_rec = rec.clone();
+            for var in pattern_variables(self.patterns) {
+                if !null_rec.is_bound(&var) {
+                    null_rec.bind(var, Value::Null);
+                }
+            }
+            out.push(null_rec);
+        }
+        out.extend(kept);
+        Ok(())
+    }
+}
+
+/// Morsel-driven parallel `MATCH` (DESIGN.md §13.2) over a shared
+/// snapshot. Two morsel axes:
 ///
 /// * **Inter-row** — the driving table has at least `parallel_threshold`
-///   rows: rows split into morsels, each worker runs the ordinary per-row
-///   match + `WHERE`, and morsel outputs concatenate in row order (the
-///   per-row pipeline is already deterministic, so this is byte-identical
-///   to serial).
+///   rows: rows split into morsels, each worker runs [`MatchStep::extend`]
+///   on its rows, and morsel outputs concatenate in row order.
 /// * **Intra-row** — few driving rows but the planner estimates at least
-///   `parallel_threshold` matches: the first executed pattern's ascending
-///   anchor-candidate set splits into chunks, workers enumerate matches
-///   per chunk ([`Matcher::match_planned_anchored`]), and the merged
-///   results are stably sorted by naive-order key — exactly the sort
-///   serial planned execution performs, so output is again identical.
+///   `parallel_threshold` matches: per row, the first executed pattern's
+///   ascending anchor-candidate set splits into chunks, workers match and
+///   filter their chunk, and the merged chunks go through the same
+///   naive-order sort serial execution uses.
 ///
-/// `ExecLimits` row budgets are enforced cooperatively across workers
-/// through one [`SharedGuard`]. Success outputs are byte-identical to
-/// serial execution; on failing statements, which of several coexisting
-/// errors (e.g. an expression error in one morsel and a row-budget trip in
-/// another) gets reported may differ, but success/failure itself never
-/// does.
-fn match_clause_parallel(
-    ctx: &mut ExecCtx,
-    optional: bool,
-    patterns: &[PathPattern],
-    where_clause: Option<&Expr>,
-    plan: Option<&ClausePlan>,
-) -> Result<bool> {
-    let engine = ctx.engine;
-    if engine.read_workers < 2 {
-        return Ok(false);
-    }
-    let graph: &PropertyGraph = match ctx.graph {
-        GraphMut::Shared(g) => g,
-        GraphMut::Excl(_) => return Ok(false),
-    };
-    let rows = ctx.table.len();
-    if rows == 0 {
-        return Ok(false);
-    }
-    let threshold = engine.parallel_threshold;
-    let inter_row = rows >= threshold.max(2);
-    // Planner-estimated matches per driving row: the product of each
-    // pattern's estimated contribution.
-    let est_matches = plan
-        .map(|p| p.meta.iter().map(|m| m.est_rows).product::<f64>())
-        .unwrap_or(0.0);
-    let intra_row = plan.is_some() && est_matches >= threshold as f64;
-    if !inter_row && !intra_row {
-        return Ok(false);
-    }
-    let pool = ReadPool::global(engine.read_workers - 1);
-    let helpers = (engine.read_workers - 1).min(pool.threads());
-    if helpers == 0 {
-        return Ok(false);
-    }
-    let morsel = engine.morsel_size.max(1);
-    let shared = ctx.guard.fork_shared();
-    let input = std::mem::take(&mut ctx.table);
-
-    let result = if inter_row {
-        match_rows_scattered(
-            graph,
-            engine,
-            &shared,
-            pool,
-            helpers,
-            morsel,
-            &input.rows,
-            optional,
-            patterns,
-            where_clause,
-            plan,
-        )
-    } else {
-        let Some(plan) = plan else {
-            unreachable!("intra-row eligibility requires a plan");
-        };
-        match_anchors_scattered(
-            graph,
-            engine,
-            &shared,
-            pool,
-            helpers,
-            morsel,
-            &input.rows,
-            optional,
-            patterns,
-            where_clause,
-            plan,
-        )
-    };
-    ctx.guard.join_shared(&shared);
-    ctx.table = Table::from_rows(result?);
-    Ok(true)
-}
-
-/// Inter-row parallelism: morsels are runs of driving-table rows.
-#[allow(clippy::too_many_arguments)]
-fn match_rows_scattered(
-    graph: &PropertyGraph,
-    engine: &Engine,
-    shared: &SharedGuard,
-    pool: &ReadPool,
+/// Workers charge the statement's own [`ExecGuard`]. Success outputs are
+/// byte-identical to serial execution; on failing statements, which of
+/// several coexisting errors (e.g. an expression error in one morsel and
+/// a row-budget trip in another) gets reported may differ, but
+/// success/failure itself never does.
+struct Fanout<'a> {
+    graph: &'a PropertyGraph,
+    engine: &'a Engine,
+    guard: &'a ExecGuard,
+    pool: &'static ReadPool,
     helpers: usize,
     morsel: usize,
-    rows: &[Record],
-    optional: bool,
-    patterns: &[PathPattern],
-    where_clause: Option<&Expr>,
-    plan: Option<&ClausePlan>,
-) -> Result<Vec<Record>> {
-    let tasks = rows.len().div_ceil(morsel);
-    let morsels: Vec<Result<Vec<Record>>> = scatter(pool, helpers, tasks, |t| {
-        let lo = t * morsel;
-        let hi = rows.len().min(lo + morsel);
-        let matcher = Matcher::new(graph, &engine.params, engine.match_mode);
-        let ectx = EvalCtx::new(graph, &engine.params).with_match_mode(engine.match_mode);
+    /// `Some`: the intra-row axis, chunking this plan's anchors.
+    anchors: Option<&'a ClausePlan>,
+}
+
+impl<'a> Fanout<'a> {
+    /// `None` runs the clause serially: the engine did not opt in
+    /// (`read_workers < 2`), the graph is not a shared snapshot
+    /// (`Engine::run_read`), or the clause is too small to repay fan-out.
+    fn new(ctx: &'a ExecCtx, plan: Option<&'a ClausePlan>, rows: usize) -> Option<Fanout<'a>> {
+        let engine = ctx.engine;
+        let GraphMut::Shared(graph) = ctx.graph else {
+            return None;
+        };
+        if engine.read_workers < 2 || rows == 0 {
+            return None;
+        }
+        let threshold = engine.parallel_threshold;
+        // Planner-estimated matches per driving row: the product of each
+        // pattern's estimated contribution.
+        let est = |p: &ClausePlan| p.meta.iter().map(|m| m.est_rows).product::<f64>();
+        let anchors = match plan {
+            Some(p) if rows < threshold.max(2) && est(p) >= threshold as f64 => Some(p),
+            _ if rows >= threshold.max(2) => None,
+            _ => return None,
+        };
+        let pool = ReadPool::global(engine.read_workers - 1);
+        let helpers = (engine.read_workers - 1).min(pool.threads());
+        (helpers > 0).then(|| Fanout {
+            graph,
+            engine,
+            guard: ctx.guard,
+            pool,
+            helpers,
+            morsel: engine.morsel_size.max(1),
+            anchors,
+        })
+    }
+
+    fn matcher(&self) -> Matcher<'a> {
+        Matcher::new(self.graph, &self.engine.params, self.engine.match_mode)
+    }
+
+    /// Run `task` on every morsel of `items` and concatenate the outputs in
+    /// morsel order. The first error in that order wins; morsels run to
+    /// completion independently, so this matches the serial error
+    /// whenever a single error source exists.
+    fn scatter<I: Sync, T: Send>(
+        &self,
+        items: &[I],
+        task: impl Fn(&[I]) -> Result<Vec<T>> + Sync,
+    ) -> Result<Vec<T>> {
+        let tasks = items.len().div_ceil(self.morsel);
+        let outs = scatter(self.pool, self.helpers, tasks, |t| {
+            let lo = t * self.morsel;
+            task(&items[lo..items.len().min(lo + self.morsel)])
+        });
         let mut out = Vec::new();
-        for rec in &rows[lo..hi] {
-            let matches = match plan {
-                Some(p) => matcher.match_patterns_planned(rec, p),
-                None => matcher.match_patterns(rec, patterns),
-            }?;
-            let mut any = false;
-            for m in matches {
-                let keep = match where_clause {
-                    Some(w) => eval_predicate(&ectx, &m, w)?.is_true(),
-                    None => true,
-                };
-                if keep {
-                    shared.charge_rows(1)?;
-                    any = true;
-                    out.push(m);
-                }
-            }
-            if optional && !any {
-                shared.charge_rows(1)?;
-                out.push(null_extended(rec, patterns));
-            }
+        for o in outs {
+            out.extend(o?);
         }
         Ok(out)
-    });
-    // First error in morsel (= row) order; morsels run to completion
-    // independently, so this matches the serial error position whenever a
-    // single error source exists.
-    let mut out = Vec::new();
-    for m in morsels {
-        out.extend(m?);
     }
-    Ok(out)
-}
 
-/// Intra-row parallelism: morsels are chunks of the first executed
-/// pattern's anchor-candidate set, per driving row.
-#[allow(clippy::too_many_arguments)]
-fn match_anchors_scattered(
-    graph: &PropertyGraph,
-    engine: &Engine,
-    shared: &SharedGuard,
-    pool: &ReadPool,
-    helpers: usize,
-    morsel: usize,
-    rows: &[Record],
-    optional: bool,
-    patterns: &[PathPattern],
-    where_clause: Option<&Expr>,
-    plan: &ClausePlan,
-) -> Result<Vec<Record>> {
-    let coordinator = Matcher::new(graph, &engine.params, engine.match_mode);
-    let coord_ectx = EvalCtx::new(graph, &engine.params).with_match_mode(engine.match_mode);
-    let mut out = Vec::new();
-    for rec in rows {
-        let anchors = coordinator.plan_anchors(rec, plan)?;
-        let mut any = false;
-        if anchors.len() >= 2 {
-            let tasks = anchors.len().div_ceil(morsel);
-            let chunks = scatter(pool, helpers, tasks, |t| {
-                let lo = t * morsel;
-                let hi = anchors.len().min(lo + morsel);
-                let matcher = Matcher::new(graph, &engine.params, engine.match_mode);
-                let ectx = EvalCtx::new(graph, &engine.params).with_match_mode(engine.match_mode);
-                let mut kept = Vec::new();
-                for km in matcher.match_planned_anchored(rec, plan, &anchors[lo..hi])? {
-                    let keep = match where_clause {
-                        Some(w) => eval_predicate(&ectx, &km.rec, w)?.is_true(),
-                        None => true,
-                    };
-                    if keep {
-                        shared.charge_rows(1)?;
-                        kept.push(km);
-                    }
+    fn run(&self, step: &MatchStep, rows: &[Record]) -> Result<Vec<Record>> {
+        let Some(plan) = self.anchors else {
+            return self.scatter(rows, |morsel| {
+                let m = self.matcher();
+                let mut out = Vec::new();
+                for rec in morsel {
+                    step.extend(&m, self.guard, rec, &mut out)?;
                 }
-                Ok::<_, EvalError>(kept)
+                Ok(out)
             });
-            let mut merged = Vec::new();
-            for c in chunks {
-                merged.extend(c?);
+        };
+        let coordinator = self.matcher();
+        let mut out = Vec::new();
+        for rec in rows {
+            let anchors = coordinator.plan_anchors(rec, plan)?;
+            if anchors.len() < 2 {
+                // Too few anchors to share: the serial step for this row.
+                step.extend(&coordinator, self.guard, rec, &mut out)?;
+                continue;
             }
-            // Chunk concatenation already ascends for identity plans (all
-            // keys empty and equal); for transformed plans this stable
-            // sort is exactly the naive-order restoration serial planned
-            // execution performs.
-            merged.sort_by(|a, b| a.key.cmp(&b.key));
-            any = !merged.is_empty();
-            out.extend(merged.into_iter().map(|km| km.rec));
-        } else {
-            // Too few anchors to share: ordinary serial matching for this
-            // one row (still charging the shared budget).
-            for m in coordinator.match_patterns_planned(rec, plan)? {
-                let keep = match where_clause {
-                    Some(w) => eval_predicate(&coord_ectx, &m, w)?.is_true(),
-                    None => true,
-                };
-                if keep {
-                    shared.charge_rows(1)?;
-                    any = true;
-                    out.push(m);
-                }
-            }
+            let kept = self.scatter(&anchors, |chunk| {
+                let m = self.matcher();
+                let matches = m.match_keyed(rec, step.patterns, step.plan, Some(chunk))?;
+                step.admit(&m, self.guard, matches)
+            })?;
+            step.emit(self.guard, rec, naive_order(kept), &mut out)?;
         }
-        if optional && !any {
-            shared.charge_rows(1)?;
-            out.push(null_extended(rec, patterns));
-        }
+        Ok(out)
     }
-    Ok(out)
 }
 
 /// All variables introduced by a tuple of patterns (node, relationship and

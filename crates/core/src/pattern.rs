@@ -30,7 +30,7 @@ use cypher_parser::ast::{NodePattern, PathPattern, RelDirection, RelPattern};
 
 use crate::error::{EvalError, Result};
 use crate::eval::{eval, EvalCtx};
-use crate::plan::ClausePlan;
+use crate::plan::{access_path, AccessPath, ClausePlan};
 use crate::table::Record;
 
 /// One token of the naive-order key (see `crate::plan` module docs):
@@ -76,26 +76,39 @@ fn fixed_path_key(
     key
 }
 
-/// Naive-order key of one full match (one [`PatKey`] per written pattern),
-/// compared lexicographically. Opaque outside this module; exists so the
-/// parallel executor (`crate::exec::read`) can merge anchor-chunked planned
-/// matches back into naive order with one stable sort.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct MatchKey(Vec<PatKey>);
-
-/// One match produced by [`Matcher::match_planned_anchored`], tagged with
-/// its naive-order key (empty — hence all-equal — for identity plans,
-/// whose emission order is already naive).
+/// One match produced by [`Matcher::match_keyed`], tagged with its
+/// naive-order key: one [`PatKey`] per written pattern, compared
+/// lexicographically, empty (hence all-equal) when the execution order
+/// already is the naive one.
 #[derive(Clone, Debug)]
 pub(crate) struct KeyedMatch {
     pub(crate) rec: Record,
-    pub(crate) key: MatchKey,
+    key: Vec<PatKey>,
+}
+
+impl std::borrow::Borrow<Record> for KeyedMatch {
+    fn borrow(&self) -> &Record {
+        &self.rec
+    }
+}
+
+/// The one restoration of naive result order, for a row matched whole or
+/// in anchor chunks: a stable sort by key. Equal keys imply equal
+/// records, so stability plus the total key order give the naive table
+/// byte for byte.
+pub(crate) fn naive_order(mut matches: Vec<KeyedMatch>) -> Vec<Record> {
+    matches.sort_by(|a, b| a.key.cmp(&b.key));
+    matches.into_iter().map(|m| m.rec).collect()
 }
 
 /// The pattern list under execution plus, in planned mode, its metadata.
 struct Pats<'p> {
     list: &'p [PathPattern],
     meta: Option<&'p [crate::plan::PatMeta]>,
+    /// Start nodes of the first pattern when the caller supplies them (a
+    /// chunk of its candidates); `None` fetches them with
+    /// `node_candidates`.
+    starts: Option<&'p [NodeId]>,
 }
 
 impl Pats<'_> {
@@ -147,45 +160,26 @@ impl<'a> Matcher<'a> {
         self.ctx.graph
     }
 
+    /// The evaluation context of property and pattern expressions.
+    pub(crate) fn eval_ctx(&self) -> &EvalCtx<'a> {
+        &self.ctx
+    }
+
     /// Enumerate all extensions of `rec` matching the conjunction of
     /// `patterns`. The input record is part of every result.
     pub fn match_patterns(&self, rec: &Record, patterns: &[PathPattern]) -> Result<Vec<Record>> {
-        let pats = Pats {
-            list: patterns,
-            meta: None,
-        };
-        let mut results = Vec::new();
-        self.go_pattern(&pats, 0, rec.clone(), BTreeSet::new(), None, &mut results)?;
-        Ok(results.into_iter().map(|(r, _)| r).collect())
+        self.match_planned(rec, patterns, None)
     }
 
-    /// Enumerate matches through a physical plan, then restore the
-    /// documented naive result order by sorting on each result's
-    /// naive-order key (see [`crate::plan`]).
-    pub fn match_patterns_planned(&self, rec: &Record, plan: &ClausePlan) -> Result<Vec<Record>> {
-        if plan.identity {
-            return self.match_patterns(rec, &plan.pats);
-        }
-        let pats = Pats {
-            list: &plan.pats,
-            meta: Some(&plan.meta),
-        };
-        let mut results = Vec::new();
-        let keys = vec![PatKey::new(); plan.pats.len()];
-        self.go_pattern(
-            &pats,
-            0,
-            rec.clone(),
-            BTreeSet::new(),
-            Some(keys),
-            &mut results,
-        )?;
-        let mut keyed: Vec<(Vec<PatKey>, Record)> = results
-            .into_iter()
-            .filter_map(|(r, k)| k.map(|key| (key, r)))
-            .collect();
-        keyed.sort_by(|(a, _), (b, _)| a.cmp(b));
-        Ok(keyed.into_iter().map(|(_, r)| r).collect())
+    /// Enumerate the matches of `patterns`, through `plan` when there is
+    /// one, in naive result order (see [`crate::plan`]).
+    pub(crate) fn match_planned(
+        &self,
+        rec: &Record,
+        patterns: &[PathPattern],
+        plan: Option<&ClausePlan>,
+    ) -> Result<Vec<Record>> {
+        Ok(naive_order(self.match_keyed(rec, patterns, plan, None)?))
     }
 
     /// Does at least one match exist? (Existence is plan-independent, so
@@ -196,11 +190,10 @@ impl<'a> Matcher<'a> {
 
     /// Ascending candidate start nodes of the first *executed* pattern of
     /// `plan` under driving record `rec` — the unit of intra-row work
-    /// sharing for the parallel executor. Matching restricted to disjoint
-    /// chunks of this set and concatenated in chunk order enumerates
-    /// exactly the same results as unrestricted matching, because each
-    /// start node's DFS is independent (environment and used-relationship
-    /// set are forked per start).
+    /// sharing for the parallel executor. Each start node's DFS is
+    /// independent (environment and used-relationship set are forked per
+    /// start), so matching disjoint chunks of this set enumerates exactly
+    /// the unrestricted matches.
     pub(crate) fn plan_anchors(&self, rec: &Record, plan: &ClausePlan) -> Result<Vec<NodeId>> {
         match plan.pats.first() {
             Some(p) => self.node_candidates(rec, &p.start),
@@ -208,97 +201,33 @@ impl<'a> Matcher<'a> {
         }
     }
 
-    /// [`Matcher::match_patterns_planned`], restricted to the given chunk
-    /// of the anchor set returned by [`Matcher::plan_anchors`], with the
-    /// final naive-order sort left to the caller: the parallel executor
-    /// merges the chunks of one record and stably sorts the union by key
-    /// once. Equal keys imply equal records, so stability plus the total
-    /// key order reproduce serial output byte for byte.
-    pub(crate) fn match_planned_anchored(
+    /// Every match of `rec`, through `plan` when there is one (naively over
+    /// `patterns` otherwise), tagged with its naive-order key and in
+    /// execution order; [`naive_order`] sorts them. `starts` restricts the
+    /// first executed pattern to a chunk of [`Matcher::plan_anchors`].
+    pub(crate) fn match_keyed(
         &self,
         rec: &Record,
-        plan: &ClausePlan,
-        anchors: &[NodeId],
+        patterns: &[PathPattern],
+        plan: Option<&ClausePlan>,
+        starts: Option<&[NodeId]>,
     ) -> Result<Vec<KeyedMatch>> {
-        let mut results = Vec::new();
-        if plan.identity {
-            // Identity plans match naively (no key tracking): chunk
-            // concatenation order *is* naive order.
-            let pats = Pats {
-                list: &plan.pats,
-                meta: None,
-            };
-            self.go_anchored(&pats, anchors, rec, None, &mut results)?;
-            return Ok(results
-                .into_iter()
-                .map(|(rec, _)| KeyedMatch {
-                    rec,
-                    key: MatchKey(Vec::new()),
-                })
-                .collect());
-        }
-        let pats = Pats {
-            list: &plan.pats,
-            meta: Some(&plan.meta),
+        let (list, meta) = match plan {
+            // Identity plans run in naive order: no key tracking.
+            Some(p) => (&p.pats[..], (!p.identity).then_some(&p.meta[..])),
+            None => (patterns, None),
         };
-        let keys = vec![PatKey::new(); plan.pats.len()];
-        self.go_anchored(&pats, anchors, rec, Some(keys), &mut results)?;
+        let pats = Pats { list, meta, starts };
+        let keys = meta.map(|_| vec![PatKey::new(); list.len()]);
+        let mut results = Vec::new();
+        self.go_pattern(&pats, 0, rec.clone(), BTreeSet::new(), keys, &mut results)?;
         Ok(results
             .into_iter()
-            .filter_map(|(rec, k)| {
-                k.map(|key| KeyedMatch {
-                    rec,
-                    key: MatchKey(key),
-                })
+            .map(|(rec, key)| KeyedMatch {
+                rec,
+                key: key.unwrap_or_default(),
             })
             .collect())
-    }
-
-    /// DFS entry with the first pattern's start candidates supplied by the
-    /// caller (a chunk of what `node_candidates` returned) instead of
-    /// recomputed. Mirrors the per-start body of `go_pattern` at `pi == 0`.
-    fn go_anchored(
-        &self,
-        pats: &Pats<'_>,
-        starts: &[NodeId],
-        rec: &Record,
-        keys: Option<Vec<PatKey>>,
-        results: &mut Vec<(Record, Option<Vec<PatKey>>)>,
-    ) -> Result<()> {
-        let Some(pattern) = pats.list.first() else {
-            results.push((rec.clone(), keys));
-            return Ok(());
-        };
-        debug_assert!(
-            pattern.shortest.is_none(),
-            "anchored matching never sees shortest paths (the planner refuses them)"
-        );
-        let reversed = pats.reversed(0);
-        for &start in starts {
-            let mut env2 = rec.clone();
-            if let Some(var) = &pattern.start.var {
-                env2.bind(var.clone(), Value::Node(start));
-            }
-            let mut keys2 = keys.clone();
-            if !reversed {
-                if let Some(ks) = &mut keys2 {
-                    ks[pats.orig(0)].push((0, start.raw()));
-                }
-            }
-            self.go_steps(
-                pats,
-                0,
-                0,
-                start,
-                env2,
-                BTreeSet::new(),
-                vec![start],
-                vec![],
-                keys2,
-                results,
-            )?;
-        }
-        Ok(())
     }
 
     fn go_pattern(
@@ -316,13 +245,21 @@ impl<'a> Matcher<'a> {
         };
         if pattern.shortest.is_some() {
             // The planner refuses clauses with shortest-path patterns, so
-            // this branch only runs in naive mode (no key tracking).
-            debug_assert!(keys.is_none(), "shortest paths are never planned");
+            // this branch only runs in naive mode (no key tracking) and
+            // unchunked.
+            debug_assert!(keys.is_none() && pats.starts.is_none());
             return self.go_shortest(pats, pi, env, used, keys, results);
         }
-        let starts = self.node_candidates(&env, &pattern.start)?;
+        let fetched;
+        let starts = match pats.starts {
+            Some(chunk) if pi == 0 => chunk,
+            _ => {
+                fetched = self.node_candidates(&env, &pattern.start)?;
+                &fetched[..]
+            }
+        };
         let reversed = pats.reversed(pi);
-        for start in starts {
+        for &start in starts {
             let mut env2 = env.clone();
             if let Some(var) = &pattern.start.var {
                 env2.bind(var.clone(), Value::Node(start));
@@ -349,13 +286,12 @@ impl<'a> Matcher<'a> {
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
-    /// `shortestPath(…)` / `allShortestPaths(…)`: BFS from each start
-    /// binding to every accepting endpoint, yielding only minimum-length
-    /// paths. The validator guarantees exactly one relationship step.
-    /// Shortest paths never repeat a node, so the single-edge-traversal
-    /// rule holds within each path automatically; in iso mode the
-    /// clause-wide used set is respected and extended.
+    /// `shortestPath(…)` / `allShortestPaths(…)`: bind every shortest path
+    /// from each start binding to an accepting endpoint and go on with the
+    /// next pattern. The validator guarantees exactly one relationship
+    /// step. Shortest paths never repeat a node, so the
+    /// single-edge-traversal rule holds within each path automatically; in
+    /// iso mode the clause-wide used set is respected and extended.
     fn go_shortest(
         &self,
         pats: &Pats<'_>,
@@ -366,138 +302,128 @@ impl<'a> Matcher<'a> {
         results: &mut Vec<(Record, Option<Vec<PatKey>>)>,
     ) -> Result<()> {
         let pattern = &pats.list[pi];
+        let (rel_pat, end_pat) = &pattern.steps[0];
+        for start in self.node_candidates(&env, &pattern.start)? {
+            let mut env_s = env.clone();
+            if let Some(v) = &pattern.start.var {
+                env_s.bind(v.clone(), Value::Node(start));
+            }
+            for (end, rels) in self.shortest_paths(pattern, &env_s, &used, start)? {
+                let mut env2 = env_s.clone();
+                if let Some(v) = &end_pat.var {
+                    env2.bind(v.clone(), Value::Node(end));
+                }
+                if let Some(rv) = &rel_pat.var {
+                    let value = if rel_pat.length.is_some() {
+                        Value::List(rels.iter().map(|&r| Value::Rel(r)).collect())
+                    } else {
+                        // Fixed single hop: bind the relationship itself.
+                        rels.first().map(|&r| Value::Rel(r)).unwrap_or(Value::Null)
+                    };
+                    env2.bind(rv.clone(), value);
+                }
+                let mut used2 = used.clone();
+                if self.mode == MatchMode::EdgeIsomorphic {
+                    used2.extend(rels.iter().copied());
+                }
+                if let Some(pv) = &pattern.var {
+                    // Reconstruct the node sequence from the rel chain.
+                    let mut nodes = vec![start];
+                    let mut cur = start;
+                    for &r in &rels {
+                        let Some(d) = self.graph().rel(r) else {
+                            unreachable!("path rels are live while matching");
+                        };
+                        cur = if d.src == cur { d.tgt } else { d.src };
+                        nodes.push(cur);
+                    }
+                    env2.bind(pv.clone(), Value::Path(PathValue { nodes, rels }));
+                }
+                self.go_pattern(pats, pi + 1, env2, used2, keys.clone(), results)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The `(end, rels)` shortest paths of one start, in emission order:
+    /// BFS layers, or enumeration when a minimum hop count above 1 makes
+    /// BFS's global-distance pruning wrong.
+    fn shortest_paths(
+        &self,
+        pattern: &PathPattern,
+        env_s: &Record,
+        used: &BTreeSet<RelId>,
+        start: NodeId,
+    ) -> Result<Vec<(NodeId, Vec<RelId>)>> {
         let Some(kind) = pattern.shortest else {
-            unreachable!("match_shortest is only called on shortest-path patterns");
+            unreachable!("shortest_paths is only called on shortest-path patterns");
         };
         let (rel_pat, end_pat) = &pattern.steps[0];
         let (min, max) = match rel_pat.length {
             Some(l) => (l.min.unwrap_or(1), l.max.unwrap_or(u32::MAX)),
             None => (1, 1),
         };
-
-        for start in self.node_candidates(&env, &pattern.start)? {
-            let mut env_s = env.clone();
-            if let Some(v) = &pattern.start.var {
-                env_s.bind(v.clone(), Value::Node(start));
-            }
-
-            if min > 1 {
-                // BFS prunes by global distance, which is wrong when the
-                // minimum hop count exceeds the true shortest distance:
-                // enumerate candidate paths instead and keep the minima.
-                self.shortest_by_enumeration(
-                    pats, pi, start, &env_s, &used, rel_pat, end_pat, min, max, kind, &keys,
-                    results,
-                )?;
-                continue;
-            }
-
-            // BFS layers; `parents[n]` holds every shortest-path predecessor
-            // edge of `n`.
-            let mut dist: BTreeMap<NodeId, u32> = BTreeMap::new();
-            dist.insert(start, 0);
-            let mut parents: BTreeMap<NodeId, Vec<(RelId, NodeId)>> = BTreeMap::new();
-            let mut frontier = vec![start];
-            let mut found: Vec<NodeId> = Vec::new();
-            if min == 0 && self.node_accepts(&env_s, start, end_pat)? {
-                found.push(start);
-            }
-            let mut level = 0u32;
-            while !frontier.is_empty() && level < max {
-                level += 1;
-                let mut next = Vec::new();
-                for node in frontier {
-                    for (rel, far) in self.rel_candidates(&env_s, node, rel_pat, &used)? {
-                        match dist.get(&far) {
-                            None => {
-                                dist.insert(far, level);
-                                parents.entry(far).or_default().push((rel, node));
-                                next.push(far);
-                            }
-                            Some(&d) if d == level => {
-                                parents.entry(far).or_default().push((rel, node));
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                if level >= min {
-                    for &n in &next {
-                        if self.node_accepts(&env_s, n, end_pat)? {
-                            found.push(n);
-                        }
-                    }
-                }
-                frontier = next;
-            }
-
-            for end in found {
-                let paths = enumerate_shortest(&parents, start, end, kind);
-                for rels in paths {
-                    let mut env2 = env_s.clone();
-                    if let Some(v) = &end_pat.var {
-                        env2.bind(v.clone(), Value::Node(end));
-                    }
-                    if let Some(rv) = &rel_pat.var {
-                        let value = if rel_pat.length.is_some() {
-                            Value::List(rels.iter().map(|&r| Value::Rel(r)).collect())
-                        } else {
-                            // Fixed single hop: bind the relationship itself.
-                            rels.first().map(|&r| Value::Rel(r)).unwrap_or(Value::Null)
-                        };
-                        env2.bind(rv.clone(), value);
-                    }
-                    let mut used2 = used.clone();
-                    if self.mode == MatchMode::EdgeIsomorphic {
-                        used2.extend(rels.iter().copied());
-                    }
-                    if let Some(pv) = &pattern.var {
-                        // Reconstruct the node sequence from the rel chain.
-                        let mut nodes = vec![start];
-                        let mut cur = start;
-                        for &r in &rels {
-                            let Some(d) = self.graph().rel(r) else {
-                                unreachable!("path rels are live while matching");
-                            };
-                            cur = if d.src == cur { d.tgt } else { d.src };
-                            nodes.push(cur);
-                        }
-                        env2.bind(
-                            pv.clone(),
-                            Value::Path(PathValue {
-                                nodes,
-                                rels: rels.clone(),
-                            }),
-                        );
-                    }
-                    self.go_pattern(pats, pi + 1, env2, used2, keys.clone(), results)?;
-                }
-            }
+        if min > 1 {
+            return self.shortest_by_enumeration(pattern, env_s, used, start, min, max);
         }
-        Ok(())
+        // BFS layers; `parents[n]` holds every shortest-path predecessor
+        // edge of `n`.
+        let mut dist: BTreeMap<NodeId, u32> = BTreeMap::new();
+        dist.insert(start, 0);
+        let mut parents: BTreeMap<NodeId, Vec<(RelId, NodeId)>> = BTreeMap::new();
+        let mut frontier = vec![start];
+        let mut found: Vec<NodeId> = Vec::new();
+        if min == 0 && self.node_accepts(env_s, start, end_pat)? {
+            found.push(start);
+        }
+        let mut level = 0u32;
+        while !frontier.is_empty() && level < max {
+            level += 1;
+            let mut next = Vec::new();
+            for node in frontier {
+                for (rel, far) in self.rel_candidates(env_s, node, rel_pat, used)? {
+                    match dist.get(&far) {
+                        None => {
+                            dist.insert(far, level);
+                            parents.entry(far).or_default().push((rel, node));
+                            next.push(far);
+                        }
+                        Some(&d) if d == level => {
+                            parents.entry(far).or_default().push((rel, node));
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            if level >= min {
+                for &n in &next {
+                    if self.node_accepts(env_s, n, end_pat)? {
+                        found.push(n);
+                    }
+                }
+            }
+            frontier = next;
+        }
+        let paths = found.into_iter().flat_map(|end| {
+            let chains = enumerate_shortest(&parents, start, end, kind);
+            chains.into_iter().map(move |rels| (end, rels))
+        });
+        Ok(paths.collect())
     }
 
     /// Slow path for `shortestPath` with a minimum hop count above 1:
     /// enumerate all qualifying paths (per-path relationship uniqueness)
     /// and keep the minimum length per endpoint.
-    #[allow(clippy::too_many_arguments)]
     fn shortest_by_enumeration(
         &self,
-        pats: &Pats<'_>,
-        pi: usize,
-        start: NodeId,
+        pattern: &PathPattern,
         env_s: &Record,
         used: &BTreeSet<RelId>,
-        rel_pat: &RelPattern,
-        end_pat: &NodePattern,
+        start: NodeId,
         min: u32,
         max: u32,
-        kind: cypher_parser::ast::ShortestKind,
-        keys: &Option<Vec<PatKey>>,
-        results: &mut Vec<(Record, Option<Vec<PatKey>>)>,
-    ) -> Result<()> {
-        use cypher_parser::ast::ShortestKind;
-        let pattern = &pats.list[pi];
+    ) -> Result<Vec<(NodeId, Vec<RelId>)>> {
+        let (rel_pat, end_pat) = &pattern.steps[0];
         // DFS collecting (end, rels) candidates.
         let mut candidates: Vec<(NodeId, Vec<RelId>)> = Vec::new();
         let mut stack: Vec<(NodeId, Vec<RelId>)> = vec![(start, vec![])];
@@ -523,49 +449,11 @@ impl<'a> Matcher<'a> {
             let e = best.entry(*end).or_insert(usize::MAX);
             *e = (*e).min(rels.len());
         }
+        let single = pattern.shortest == Some(cypher_parser::ast::ShortestKind::Single);
         let mut emitted: BTreeSet<NodeId> = BTreeSet::new();
-        for (end, rels) in candidates {
-            if rels.len() != best[&end] {
-                continue;
-            }
-            if kind == ShortestKind::Single && !emitted.insert(end) {
-                continue;
-            }
-            let mut env2 = env_s.clone();
-            if let Some(v) = &end_pat.var {
-                env2.bind(v.clone(), Value::Node(end));
-            }
-            if let Some(rv) = &rel_pat.var {
-                env2.bind(
-                    rv.clone(),
-                    Value::List(rels.iter().map(|&r| Value::Rel(r)).collect()),
-                );
-            }
-            let mut used2 = used.clone();
-            if self.mode == MatchMode::EdgeIsomorphic {
-                used2.extend(rels.iter().copied());
-            }
-            if let Some(pv) = &pattern.var {
-                let mut nodes = vec![start];
-                let mut cur = start;
-                for &r in &rels {
-                    let Some(d) = self.graph().rel(r) else {
-                        unreachable!("path rels are live while matching");
-                    };
-                    cur = if d.src == cur { d.tgt } else { d.src };
-                    nodes.push(cur);
-                }
-                env2.bind(
-                    pv.clone(),
-                    Value::Path(PathValue {
-                        nodes,
-                        rels: rels.clone(),
-                    }),
-                );
-            }
-            self.go_pattern(pats, pi + 1, env2, used2, keys.clone(), results)?;
-        }
-        Ok(())
+        candidates
+            .retain(|(end, rels)| rels.len() == best[end] && (!single || emitted.insert(*end)));
+        Ok(candidates)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -864,55 +752,34 @@ impl<'a> Matcher<'a> {
         Ok(out)
     }
 
-    /// Candidate start nodes for a node pattern.
+    /// Candidate start nodes for a node pattern, ascending, fetched
+    /// through [`access_path`] and checked against every label and
+    /// property.
     fn node_candidates(&self, env: &Record, np: &NodePattern) -> Result<Vec<NodeId>> {
         let g = self.graph();
-        // Bound variable: the candidate set is that single node (checked).
-        if let Some(var) = &np.var {
-            match env.get(var) {
-                Some(Value::Node(n)) => {
-                    let n = *n;
-                    return if self.node_accepts(env, n, np)? {
-                        Ok(vec![n])
+        let bound = np.var.as_ref().and_then(|v| env.get(v));
+        let candidates: Vec<NodeId> = match access_path(g, np, bound.is_some()) {
+            // Bound variable: the candidate set is that single node (checked).
+            AccessPath::Bound(var) => {
+                return match bound {
+                    Some(&Value::Node(n)) => Ok(if self.node_accepts(env, n, np)? {
+                        vec![n]
                     } else {
-                        Ok(vec![])
-                    };
-                }
-                Some(Value::Null) => return Ok(vec![]),
-                Some(_) => return Err(EvalError::VariableClash(var.clone())),
-                None => {}
+                        vec![]
+                    }),
+                    Some(Value::Null) => Ok(vec![]),
+                    _ => Err(EvalError::VariableClash(var.to_owned())),
+                };
             }
-        }
-        // Prefer a property-index probe `(label, key = value)` when one is
-        // available, then a label-index scan, then a full scan.
-        let mut indexed: Option<Vec<NodeId>> = None;
-        'probe: for label in &np.labels {
-            let Some(lsym) = g.try_sym(label) else {
-                return Ok(vec![]); // label never interned → no nodes at all
-            };
-            for (key, expr) in &np.props {
-                let Some(ksym) = g.try_sym(key) else { continue };
-                if !g.has_index(lsym, ksym) {
-                    continue;
-                }
-                let wanted = eval(&self.ctx, env, expr)?;
-                indexed = g.index_lookup(lsym, ksym, &wanted);
-                break 'probe;
+            AccessPath::Probe {
+                lsym, ksym, value, ..
+            } => {
+                let wanted = eval(&self.ctx, env, value)?;
+                g.index_lookup(lsym, ksym, &wanted).unwrap_or_default()
             }
-        }
-        // Scan the *smallest* label of the pattern: the final candidate set
-        // (and its ascending order) is the same whichever label is scanned,
-        // since `node_accepts_unbound` re-checks every label.
-        let candidates: Vec<NodeId> = match indexed {
-            Some(hits) => hits,
-            None => match crate::plan::smallest_label(g, np) {
-                Some((label, _)) => match g.try_sym(&label) {
-                    Some(sym) => g.nodes_with_label(sym).collect(),
-                    None => vec![],
-                },
-                None if np.labels.is_empty() => g.node_ids().collect(),
-                None => return Ok(vec![]),
-            },
+            AccessPath::Empty(_) => return Ok(vec![]),
+            AccessPath::LabelScan { sym, .. } => g.nodes_with_label(sym).collect(),
+            AccessPath::FullScan => g.node_ids().collect(),
         };
         let mut out = Vec::new();
         for n in candidates {

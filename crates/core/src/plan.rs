@@ -51,8 +51,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use cypher_graph::{PropertyGraph, Value};
-use cypher_parser::ast::{NodePattern, PathPattern, RelDirection, RelPattern};
+use cypher_graph::{PropertyGraph, Symbol, Value};
+use cypher_parser::ast::{Expr, NodePattern, PathPattern, RelDirection, RelPattern};
 
 use crate::eval::{eval, EvalCtx};
 use crate::table::Record;
@@ -245,74 +245,114 @@ fn reversible(p: &PathPattern) -> bool {
     !p.steps.is_empty() && p.steps.iter().all(|(r, _)| r.length.is_none())
 }
 
-/// Access path and estimated candidate count for anchoring at `np`,
-/// mirroring the probe order of `node_candidates` (which the executor
-/// keeps using — any access path yields the same ascending candidate set).
+/// How a node pattern finds its candidate nodes: the one access-path rule,
+/// shared by the planner's estimates, `EXPLAIN` and the matcher's fetch
+/// (`Matcher::node_candidates`). The order is fixed: a bound variable ≺
+/// the first indexed `(label, key)` in written order ≺ a label never
+/// interned (no node carries it) ≺ the smallest label ≺ every node.
+/// Whichever path is taken, the matcher re-checks every label and
+/// property, so all of them yield the same ascending candidate set.
+pub(crate) enum AccessPath<'p> {
+    Bound(&'p str),
+    Probe {
+        label: &'p str,
+        key: &'p str,
+        lsym: Symbol,
+        ksym: Symbol,
+        value: &'p Expr,
+    },
+    Empty(&'p str),
+    LabelScan {
+        label: &'p str,
+        sym: Symbol,
+        count: usize,
+    },
+    FullScan,
+}
+
+/// The access path for `np`; `bound` says whether its variable is bound.
+pub(crate) fn access_path<'p>(
+    g: &PropertyGraph,
+    np: &'p NodePattern,
+    bound: bool,
+) -> AccessPath<'p> {
+    if let Some(v) = np.var.as_deref().filter(|_| bound) {
+        return AccessPath::Bound(v);
+    }
+    let mut smallest: Option<AccessPath<'p>> = None;
+    for label in &np.labels {
+        let Some(lsym) = g.try_sym(label) else {
+            return AccessPath::Empty(label);
+        };
+        for (key, value) in &np.props {
+            match g.try_sym(key) {
+                Some(ksym) if g.has_index(lsym, ksym) => {
+                    return AccessPath::Probe {
+                        label,
+                        key,
+                        lsym,
+                        ksym,
+                        value,
+                    }
+                }
+                _ => {}
+            }
+        }
+        // The smallest label so far; ties keep the first written.
+        let count = g.label_count(lsym);
+        if !matches!(smallest, Some(AccessPath::LabelScan { count: c, .. }) if c <= count) {
+            smallest = Some(AccessPath::LabelScan {
+                label,
+                sym: lsym,
+                count,
+            });
+        }
+    }
+    smallest.unwrap_or(AccessPath::FullScan)
+}
+
+/// The public [`Anchor`] of anchoring at `np`, with its estimated
+/// candidate count.
 fn anchor_for(
     g: &PropertyGraph,
     ctx: &EvalCtx<'_>,
     np: &NodePattern,
     bound: &BTreeSet<String>,
 ) -> (Anchor, f64) {
-    if let Some(v) = &np.var {
-        if bound.contains(v) {
-            return (Anchor::BoundVar(v.clone()), 1.0);
-        }
-    }
-    for label in &np.labels {
-        let Some(lsym) = g.try_sym(label) else {
-            // Label never interned → no node carries it.
-            return (
-                Anchor::LabelScan {
-                    label: label.clone(),
-                },
-                0.0,
-            );
-        };
-        for (key, expr) in &np.props {
-            let Some(ksym) = g.try_sym(key) else { continue };
-            if !g.has_index(lsym, ksym) {
-                continue;
-            }
+    let is_bound = np.var.as_ref().is_some_and(|v| bound.contains(v));
+    match access_path(g, np, is_bound) {
+        AccessPath::Bound(v) => (Anchor::BoundVar(v.to_owned()), 1.0),
+        AccessPath::Probe {
+            label,
+            key,
+            lsym,
+            ksym,
+            value,
+        } => {
             // Constant and parameter probe values give an exact bucket
             // size; record-dependent expressions fall back to the index's
             // average selectivity.
-            let est = match eval(ctx, &Record::new(), expr) {
+            let est = match eval(ctx, &Record::new(), value) {
                 Ok(v) => g.index_bucket_size(lsym, ksym, &v).unwrap_or(0) as f64,
                 Err(_) => g.index_selectivity(lsym, ksym).unwrap_or(1.0),
             };
-            return (
-                Anchor::IndexProbe {
-                    label: label.clone(),
-                    key: key.clone(),
-                },
-                est,
-            );
+            let (label, key) = (label.to_owned(), key.to_owned());
+            (Anchor::IndexProbe { label, key }, est)
         }
-    }
-    match smallest_label(g, np) {
-        Some((label, count)) => (Anchor::LabelScan { label }, count as f64),
-        None if np.labels.is_empty() => (Anchor::FullScan, g.node_count() as f64),
-        None => (
+        AccessPath::Empty(label) => (
             Anchor::LabelScan {
-                label: np.labels[0].clone(),
+                label: label.to_owned(),
             },
             0.0,
         ),
+        AccessPath::LabelScan { label, count, .. } => (
+            Anchor::LabelScan {
+                label: label.to_owned(),
+            },
+            count as f64,
+        ),
+        AccessPath::FullScan => (Anchor::FullScan, g.node_count() as f64),
     }
-}
-
-/// The pattern label with the fewest live nodes (all labels must be
-/// interned — otherwise the candidate set is empty anyway).
-pub(crate) fn smallest_label(g: &PropertyGraph, np: &NodePattern) -> Option<(String, usize)> {
-    let mut best: Option<(String, usize)> = None;
-    for label in &np.labels {
-        let count = g.label_count(g.try_sym(label)?);
-        if best.as_ref().map(|(_, c)| count < *c).unwrap_or(true) {
-            best = Some((label.clone(), count));
-        }
-    }
-    best
 }
 
 /// Estimated branching factor of one relationship step: live rels of the

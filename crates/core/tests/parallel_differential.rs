@@ -52,6 +52,12 @@ const READS: &[&str] = &[
     "MATCH (n) RETURN DISTINCT labels(n) AS l",
     "MATCH (a:User)-[:ORDERED]->(:Product)<-[:ORDERED]-(b:User) \
      RETURN a.name AS a, b.name AS b",
+    // Intra-row OPTIONAL MATCH: one driving row, anchors chunked, a WHERE
+    // that rejects every match (the null row) and one that keeps some.
+    "OPTIONAL MATCH (p:Product) WHERE p.id < 0 RETURN p",
+    "OPTIONAL MATCH (p:Product) WHERE p.id > 100 RETURN p.name AS name",
+    "MATCH (v:Vendor) OPTIONAL MATCH (v)-[:OFFERS]->(p) WHERE p.id < 0 \
+     RETURN v.name AS v, p",
 ];
 
 fn engine(read_workers: usize, morsel: usize, force_naive: bool) -> Engine {
@@ -154,8 +160,7 @@ fn worker_count_never_changes_results() {
 #[test]
 fn row_budgets_are_enforced_across_workers() {
     let (_, g) = contexts().remove(2);
-    let q = "MATCH (a)-[r]->(b) RETURN count(r) AS n";
-    let limited = |workers: usize, max_rows: u64| {
+    let limited = |q: &str, workers: usize, max_rows: u64| {
         EngineBuilder::new(Dialect::Revised)
             .read_workers(workers)
             .morsel_size(7)
@@ -167,12 +172,25 @@ fn row_budgets_are_enforced_across_workers() {
             .build()
             .run_read(&g, q)
     };
+    let q = "MATCH (a)-[r]->(b) RETURN count(r) AS n";
     // A generous budget passes identically.
-    let serial = limited(1, 1_000_000).unwrap();
-    let parallel = limited(4, 1_000_000).unwrap();
+    let serial = limited(q, 1, 1_000_000).unwrap();
+    let parallel = limited(q, 4, 1_000_000).unwrap();
     assert_eq!(serial.render(), parallel.render());
     // A tiny budget trips both.
-    let se = limited(1, 3).unwrap_err();
-    let pe = limited(4, 3).unwrap_err();
+    let se = limited(q, 1, 3).unwrap_err();
+    let pe = limited(q, 4, 3).unwrap_err();
     assert_eq!(se.to_string(), pe.to_string());
+
+    // A budget only the cumulative count trips: the parallel MATCH
+    // charges its n rows, the serial projection after it n more.
+    let q = "MATCH (a)-[r]->(b) RETURN a, b";
+    let n = limited(q, 1, u64::MAX).unwrap().rows.len() as u64;
+    assert!(n > 2, "the graph has relationships");
+    let se = limited(q, 1, n + n / 2).unwrap_err();
+    let pe = limited(q, 4, n + n / 2).unwrap_err();
+    assert_eq!(se.to_string(), pe.to_string());
+    let serial = limited(q, 1, 2 * n).unwrap();
+    let parallel = limited(q, 4, 2 * n).unwrap();
+    assert_eq!(serial.render(), parallel.render());
 }

@@ -29,7 +29,8 @@ use cypher_parser::ast::{
 };
 use cypher_parser::parse;
 
-/// An entity id usable as an index key (`Value` itself has no total order).
+/// The identity of a bound entity: a compact key for the match memory and
+/// its per-entity index, where only nodes and relationships ever occur.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum EntKey {
     Node(u64),

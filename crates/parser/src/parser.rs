@@ -969,9 +969,9 @@ impl Parser {
     }
 
     /// A function call, `count(*)`, a quantifier or `reduce`. Compound
-    /// atoms have functions of their own: an unoptimised build gives a
-    /// function one frame for all its branches, and nesting recurses
-    /// through `atom`.
+    /// atoms and each of these forms have functions of their own: an
+    /// unoptimised build gives a function one frame for all its branches,
+    /// and nesting recurses through `atom`.
     fn call(&mut self) -> Result<Expr> {
         let name = self.name("function name")?;
         self.bump(); // '('
@@ -980,48 +980,59 @@ impl Parser {
             self.expect(&Tok::RParen)?;
             return Ok(Expr::CountStar);
         }
+        let binds = matches!(self.peek().tok, Tok::Ident(_) | Tok::EscapedIdent(_));
         // Quantifiers: all/any/none/single(x IN list WHERE pred).
         if let Some(kind) = QuantifierKind::from_name(&name) {
-            if matches!(self.peek().tok, Tok::Ident(_) | Tok::EscapedIdent(_))
-                && self.peek_at(1).is_kw("IN")
-            {
-                let var = self.name("quantifier variable")?;
-                self.expect_kw("IN")?;
-                let list = self.expr_bp(0)?;
-                self.expect_kw("WHERE")?;
-                let pred = self.expr_bp(0)?;
-                self.expect(&Tok::RParen)?;
-                return Ok(Expr::Quantifier {
-                    kind,
-                    var,
-                    list: Box::new(list),
-                    pred: Box::new(pred),
-                });
+            if binds && self.peek_at(1).is_kw("IN") {
+                return self.quantifier(kind);
             }
         }
         // reduce(acc = init, x IN list | body).
-        if name.eq_ignore_ascii_case("reduce")
-            && matches!(self.peek().tok, Tok::Ident(_) | Tok::EscapedIdent(_))
-            && self.peek_at(1).tok == Tok::Eq
-        {
-            let acc = self.name("accumulator")?;
-            self.expect(&Tok::Eq)?;
-            let init = self.expr_bp(0)?;
-            self.expect(&Tok::Comma)?;
-            let var = self.name("iteration variable")?;
-            self.expect_kw("IN")?;
-            let list = self.expr_bp(0)?;
-            self.expect(&Tok::Pipe)?;
-            let body = self.expr_bp(0)?;
-            self.expect(&Tok::RParen)?;
-            return Ok(Expr::Reduce {
-                acc,
-                init: Box::new(init),
-                var,
-                list: Box::new(list),
-                body: Box::new(body),
-            });
+        if name.eq_ignore_ascii_case("reduce") && binds && self.peek_at(1).tok == Tok::Eq {
+            return self.reduce();
         }
+        self.call_args(name)
+    }
+
+    /// The rest of `kind(x IN list WHERE pred)` after the `(`.
+    fn quantifier(&mut self, kind: QuantifierKind) -> Result<Expr> {
+        let var = self.name("quantifier variable")?;
+        self.expect_kw("IN")?;
+        let list = self.expr_bp(0)?;
+        self.expect_kw("WHERE")?;
+        let pred = self.expr_bp(0)?;
+        self.expect(&Tok::RParen)?;
+        Ok(Expr::Quantifier {
+            kind,
+            var,
+            list: Box::new(list),
+            pred: Box::new(pred),
+        })
+    }
+
+    /// The rest of `reduce(acc = init, x IN list | body)` after the `(`.
+    fn reduce(&mut self) -> Result<Expr> {
+        let acc = self.name("accumulator")?;
+        self.expect(&Tok::Eq)?;
+        let init = self.expr_bp(0)?;
+        self.expect(&Tok::Comma)?;
+        let var = self.name("iteration variable")?;
+        self.expect_kw("IN")?;
+        let list = self.expr_bp(0)?;
+        self.expect(&Tok::Pipe)?;
+        let body = self.expr_bp(0)?;
+        self.expect(&Tok::RParen)?;
+        Ok(Expr::Reduce {
+            acc,
+            init: Box::new(init),
+            var,
+            list: Box::new(list),
+            body: Box::new(body),
+        })
+    }
+
+    /// The `[DISTINCT] args)` of an ordinary call after the `(`.
+    fn call_args(&mut self, name: String) -> Result<Expr> {
         let distinct = self.eat_kw("DISTINCT");
         let mut args = Vec::new();
         if !self.at(&Tok::RParen) {

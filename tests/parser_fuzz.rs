@@ -171,11 +171,10 @@ const SHAPES: &[Shape] = &[
     },
 ];
 
-/// Runs `f` on a thread with the 2 MiB stack that `std` gives session and
-/// worker threads by default.
-fn on_small_stack(f: impl FnOnce() + Send + 'static) {
+/// Runs `f` on a thread with a stack of `bytes`.
+fn on_stack(bytes: usize, f: impl FnOnce() + Send + 'static) {
     std::thread::Builder::new()
-        .stack_size(2 << 20)
+        .stack_size(bytes)
         .spawn(f)
         .expect("spawn test thread")
         .join()
@@ -187,7 +186,9 @@ fn on_small_stack(f: impl FnOnce() + Send + 'static) {
 /// it quickly with a positioned error.
 #[test]
 fn nesting_is_bounded_at_max_expr_depth() {
-    on_small_stack(|| {
+    // The 2 MiB stack that `std` gives session and worker threads by
+    // default.
+    on_stack(2 << 20, || {
         for shape in SHAPES {
             let text = (shape.build)(MAX_EXPR_DEPTH);
             let q = parse(&text)
@@ -223,6 +224,25 @@ fn nesting_is_bounded_at_max_expr_depth() {
                     started.elapsed()
                 );
             }
+        }
+    });
+}
+
+/// Nested lists and nested function calls at the cap parse and run in
+/// half of that: neither `Parser::call` nor `eval` keeps the locals of
+/// all its branches in the frame every nesting level recurses through.
+#[test]
+fn list_and_call_nests_at_the_cap_run_on_a_1_mib_stack() {
+    on_stack(1 << 20, || {
+        for name in ["lists", "function calls"] {
+            let Some(shape) = SHAPES.iter().find(|s| s.name == name) else {
+                panic!("no shape {name}");
+            };
+            let text = (shape.build)(MAX_EXPR_DEPTH);
+            parse(&text).unwrap_or_else(|e| panic!("{name} at the cap must parse: {e}"));
+            Engine::legacy()
+                .run(&mut PropertyGraph::new(), &text)
+                .unwrap_or_else(|e| panic!("{name} at the cap must run: {e}"));
         }
     });
 }
