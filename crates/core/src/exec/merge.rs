@@ -30,11 +30,12 @@ use std::collections::BTreeMap;
 use std::mem;
 
 use cypher_graph::{NodeId, PathValue, Value};
-use cypher_parser::ast::{NodePattern, PathPattern, RelDirection};
+use cypher_parser::ast::{NodePattern, PathPattern, RelDirection, SetItem};
 use cypher_parser::ParseError;
 
 use crate::error::{EvalError, Result};
 use crate::exec::{write, ExecCtx};
+use crate::plan::ClausePlan;
 use crate::table::{Record, Table};
 
 /// Which of the paper's `MERGE` semantics to execute.
@@ -101,8 +102,8 @@ pub(crate) fn merge(
     ctx: &mut ExecCtx,
     policy: MergePolicy,
     patterns: &[PathPattern],
-    on_create: &[cypher_parser::ast::SetItem],
-    on_match: &[cypher_parser::ast::SetItem],
+    on_create: &[SetItem],
+    on_match: &[SetItem],
 ) -> Result<()> {
     match policy {
         MergePolicy::Legacy => merge_legacy(ctx, patterns, on_create, on_match),
@@ -124,53 +125,62 @@ pub(crate) fn merge(
 /// §4.3: per-record match-or-create against the current graph — later
 /// records can match what earlier records created, making the result
 /// dependent on [`crate::exec::ProcessingOrder`]. `ON MATCH SET` actions
-/// run per matched row, `ON CREATE SET` per created row, immediately
-/// (legacy record-by-record application).
+/// run per matched row, `ON CREATE SET` per created row, as Cypher 9 `SET`
+/// batches (one per item, applied at once). Creation stays path by path in
+/// written order ([`write::create_one_path`]), not through blueprints:
+/// those sort labels and properties and create every node before any
+/// relationship, which would change the interning order and the captured
+/// delta.
 fn merge_legacy(
     ctx: &mut ExecCtx,
     patterns: &[PathPattern],
-    on_create: &[cypher_parser::ast::SetItem],
-    on_match: &[cypher_parser::ast::SetItem],
+    on_create: &[SetItem],
+    on_match: &[SetItem],
 ) -> Result<()> {
     // One plan for the whole clause: legacy MERGE mutates the graph
     // between rows, which drifts the estimates but never the plan's
     // validity (candidate sets are access-path-invariant).
     let plan = ctx.plan_patterns(patterns);
+    let order = ctx.order_indices();
     let input = mem::take(&mut ctx.table);
     let mut out = Vec::new();
-    for i in match ctx.engine.order {
-        crate::exec::ProcessingOrder::Forward => {
-            Box::new(0..input.len()) as Box<dyn Iterator<Item = usize>>
-        }
-        crate::exec::ProcessingOrder::Reverse => Box::new((0..input.len()).rev()),
-    } {
+    for i in order {
         let rec = &input.rows[i];
-        let matches = ctx.matcher().match_planned(rec, patterns, plan.as_ref())?;
-        // A failing record still materializes one (created) output row.
-        ctx.charge_rows(matches.len().max(1))?;
-        if matches.is_empty() {
-            let mut created = rec.clone();
-            for pattern in patterns {
-                // Undirected relationships are created left-to-right
-                // (outgoing) — the extra nondeterminism §7 removed.
-                write::create_one_path(ctx, &mut created, pattern)?;
-            }
-            for item in on_create {
-                write::apply_set_item_now(ctx, &created, item)?;
-            }
-            out.push(created);
-        } else {
-            for row in &matches {
-                for item in on_match {
-                    write::apply_set_item_now(ctx, row, item)?;
+        match match_one(ctx, rec, patterns, plan.as_ref())? {
+            Some(matches) => {
+                for row in &matches {
+                    write::set_now(ctx, row, on_match)?;
                 }
+                out.extend(matches);
             }
-            out.extend(matches);
+            None => {
+                let mut created = rec.clone();
+                for pattern in patterns {
+                    // Undirected relationships are created left-to-right
+                    // (outgoing) — the extra nondeterminism §7 removed.
+                    write::create_one_path(ctx, &mut created, pattern)?;
+                }
+                write::set_now(ctx, &created, on_create)?;
+                out.push(created);
+            }
         }
         ctx.guard_writes()?;
     }
     ctx.table = Table::from_rows(out);
     Ok(())
+}
+
+/// Match one record's patterns, charging the rows it yields: its matches,
+/// or the one created row of a failing record (`None`).
+fn match_one(
+    ctx: &ExecCtx,
+    rec: &Record,
+    patterns: &[PathPattern],
+    plan: Option<&ClausePlan>,
+) -> Result<Option<Vec<Record>>> {
+    let matches = ctx.matcher().match_planned(rec, patterns, plan)?;
+    ctx.charge_rows(matches.len().max(1))?;
+    Ok((!matches.is_empty()).then_some(matches))
 }
 
 // ---------------------------------------------------------------------
@@ -269,14 +279,12 @@ fn merge_atomic_family(
     let input = mem::take(&mut ctx.table);
 
     // ---- Phase 1: match everything against the *input* graph. ----
-    // rows_out[i] = Some(matched rows) or None (failing record).
-    let mut matched: Vec<Option<Vec<Record>>> = Vec::with_capacity(input.len());
-    for rec in &input.rows {
-        let m = ctx.matcher().match_planned(rec, patterns, plan.as_ref())?;
-        // A failing record still materializes one (created) output row.
-        ctx.charge_rows(m.len().max(1))?;
-        matched.push(if m.is_empty() { None } else { Some(m) });
-    }
+    // matched[i] = Some(matched rows) or None (failing record).
+    let matched = input
+        .rows
+        .iter()
+        .map(|rec| match_one(ctx, rec, patterns, plan.as_ref()))
+        .collect::<Result<Vec<_>>>()?;
 
     // ---- Phase 2: build blueprints for failing records. ----
     // Group index per failing record; groups hold the blueprint and the

@@ -595,18 +595,9 @@ impl ExecCtx<'_, '_> {
             Clause::With(p) => read::projection(self, p, true),
             Clause::Return(p) => read::projection(self, p, false),
             Clause::Create { patterns } => write::create(self, patterns),
-            Clause::Set { items } => match self.engine.dialect {
-                Dialect::Cypher9 => write::set_legacy(self, items),
-                Dialect::Revised => write::set_atomic(self, items),
-            },
-            Clause::Remove { items } => match self.engine.dialect {
-                Dialect::Cypher9 => write::remove_legacy(self, items),
-                Dialect::Revised => write::remove_atomic(self, items),
-            },
-            Clause::Delete { detach, exprs } => match self.engine.dialect {
-                Dialect::Cypher9 => write::delete_legacy(self, *detach, exprs),
-                Dialect::Revised => write::delete_atomic(self, *detach, exprs),
-            },
+            Clause::Set { items } => write::set(self, items),
+            Clause::Remove { items } => write::remove(self, items),
+            Clause::Delete { detach, exprs } => write::delete(self, *detach, exprs),
             Clause::Merge {
                 kind,
                 patterns,

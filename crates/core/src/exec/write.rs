@@ -1,14 +1,19 @@
 //! Update clauses other than `MERGE`: `CREATE`, `SET`, `REMOVE`,
 //! `DELETE`/`DETACH DELETE` and `FOREACH`.
 //!
-//! Every clause comes in two flavours:
+//! `SET`, `REMOVE` and `DELETE` are one step, `collect(batch) → check →
+//! apply`, run at one of two granularities derived from the dialect — the
+//! only thing that separates the two (§4 vs §7):
 //!
-//! * the **legacy** (Cypher 9) version processes the driving table
-//!   record-by-record against the *current* graph, reading its own writes —
-//!   reproducing the anomalies of §4.1–§4.2;
-//! * the **atomic** (revised, §7) version is two-phase: evaluate everything
-//!   against the input graph while collecting a change set, detect
-//!   conflicts, then apply the whole set at once.
+//! * **Cypher 9** collects one batch per (record, item), in
+//!   [`ProcessingOrder`](crate::exec::ProcessingOrder), against the
+//!   *current* graph, checks nothing and applies it at once. Later items
+//!   and records read earlier writes, which reproduces the anomalies of
+//!   §4.1–§4.2; writes to deleted entities (zombies) are no-ops.
+//! * **Revised** collects one batch over the whole driving table against
+//!   the *input* graph, rejects conflicting `SET`s and dangling `DELETE`s,
+//!   applies the batch, and then replaces every reference to a deleted
+//!   entity in the driving table with `null`.
 //!
 //! `CREATE` has a single implementation: it never reads what it writes
 //! within a record, and per-record creation is observationally identical to
@@ -17,9 +22,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::mem;
 
-use cypher_graph::{DeleteNodeMode, EntityRef, NodeId, PathValue, PropertyMap, RelId, Value};
+use cypher_graph::{
+    DeleteNodeMode, Direction, EntityRef, NodeId, PathValue, PropertyMap, RelId, Value,
+};
 use cypher_parser::ast::{
-    Clause, Expr, NodePattern, PathPattern, RelDirection, RemoveItem, SetItem,
+    Clause, Dialect, Expr, NodePattern, PathPattern, RelDirection, RemoveItem, SetItem,
 };
 
 use crate::error::{EvalError, Result};
@@ -157,200 +164,172 @@ pub(crate) fn eval_storable_props(
 }
 
 // ---------------------------------------------------------------------
-// SET
+// SET, REMOVE, DELETE: collect(batch) → check → apply
 // ---------------------------------------------------------------------
 
-/// Legacy `SET` (§4.1): record-by-record, item-by-item, against the current
-/// graph — `SET p1.id = p2.id, p2.id = p1.id` therefore loses the swap
-/// (Example 1), and dirty data makes the outcome order-dependent
-/// (Example 2).
-pub(crate) fn set_legacy(ctx: &mut ExecCtx, items: &[SetItem]) -> Result<()> {
-    let rows = ctx.table.rows.clone();
-    for i in ctx.order_indices() {
-        let rec = &rows[i];
-        for item in items {
-            apply_set_item_now(ctx, rec, item)?;
-        }
-        ctx.guard_writes()?;
-    }
-    Ok(())
+/// The batches an update clause collects, checks and applies its changes
+/// in: the one parameter that separates the two dialects.
+enum Granularity {
+    /// Cypher 9 (§4): one batch per (record, item), in processing order,
+    /// collected against the current graph and applied unchecked.
+    Item,
+    /// Revised (§7): one batch for the whole driving table, collected
+    /// against the input graph and checked before it is applied.
+    Table,
 }
 
-pub(crate) fn apply_set_item_now(ctx: &mut ExecCtx, rec: &Record, item: &SetItem) -> Result<()> {
-    match item {
-        SetItem::Property { target, key, value } => {
-            let t = ctx.eval(rec, target)?;
-            let Some(entity) = set_target(&t)? else {
-                return Ok(());
-            };
-            let v = ctx.eval(rec, value)?;
-            if !v.is_null() && !v.storable_as_property() {
-                return Err(type_err("storable property value", &v, "SET"));
-            }
-            if live(ctx, entity) {
-                let k = ctx.graph.sym(key);
-                ctx.graph.set_prop(entity, k, v)?;
-                ctx.stats.props_set += 1;
-            }
-            Ok(())
-        }
-        SetItem::Replace { target, value } => {
-            let t = lookup_var(rec, target)?;
-            let Some(entity) = set_target(&t)? else {
-                return Ok(());
-            };
-            let map = value_as_prop_map(ctx, rec, value)?;
-            if live(ctx, entity) {
-                ctx.stats.props_set += map.len().max(1);
-                ctx.graph.replace_props(entity, map)?;
-            }
-            Ok(())
-        }
-        SetItem::MergeProps { target, value } => {
-            let t = lookup_var(rec, target)?;
-            let Some(entity) = set_target(&t)? else {
-                return Ok(());
-            };
-            let map = value_as_prop_map(ctx, rec, value)?;
-            if live(ctx, entity) {
-                ctx.stats.props_set += map.len();
-                ctx.graph.merge_props(entity, map)?;
-            }
-            Ok(())
-        }
-        SetItem::Labels { target, labels } => {
-            let t = lookup_var(rec, target)?;
-            match t {
-                Value::Null => Ok(()),
-                Value::Node(n) => {
-                    if ctx.graph.contains_node(n) {
-                        for l in labels {
-                            let sym = ctx.graph.sym(l);
-                            if ctx.graph.add_label(n, sym)? {
-                                ctx.stats.labels_added += 1;
-                            }
-                        }
-                    }
-                    Ok(())
-                }
-                other => Err(type_err("node", &other, "SET labels")),
-            }
+impl From<Dialect> for Granularity {
+    fn from(dialect: Dialect) -> Self {
+        match dialect {
+            Dialect::Cypher9 => Granularity::Item,
+            Dialect::Revised => Granularity::Table,
         }
     }
 }
 
-/// Atomic `SET` (§7): "all the expressions within a SET clause are
-/// evaluated on the input graph for all the records in the input driving
-/// table, to accumulate all the changes … If these changes are well-defined
-/// … they are then applied."
-pub(crate) fn set_atomic(ctx: &mut ExecCtx, items: &[SetItem]) -> Result<()> {
-    // Phase 1: collect propchanges(T, s) and labchanges(T, s, n).
-    let mut prop_changes: BTreeMap<(EntityRef, String), Value> = BTreeMap::new();
-    let mut label_adds: BTreeSet<(NodeId, String)> = BTreeSet::new();
-
-    let rows = ctx.table.rows.clone();
-    for rec in &rows {
-        for item in items {
-            collect_set_item(ctx, rec, item, &mut prop_changes, &mut label_adds)?;
-        }
-    }
-
-    // Phase 2: apply.
-    for ((entity, key), v) in prop_changes {
-        if live(ctx, entity) {
-            let k = ctx.graph.sym(&key);
-            ctx.graph.set_prop(entity, k, v)?;
-            ctx.stats.props_set += 1;
-        }
-        ctx.guard_writes()?;
-    }
-    for (node, label) in label_adds {
-        if ctx.graph.contains_node(node) {
-            let sym = ctx.graph.sym(&label);
-            if ctx.graph.add_label(node, sym)? {
-                ctx.stats.labels_added += 1;
-            }
-        }
-        ctx.guard_writes()?;
-    }
-    Ok(())
+/// One change of an update batch, named by strings until it is applied.
+enum Change {
+    /// Set one property; `null` removes it.
+    Prop(EntityRef, String, Value),
+    /// `SET x = map` (`true`: replace) or `SET x += map` as one write, the
+    /// way Cypher 9 applies it: keys in interning order, `props_set`
+    /// counted per map key. The revised batch splits it into
+    /// [`Change::Prop`]s.
+    Map(EntityRef, BTreeMap<String, Value>, bool),
+    /// Add (`true`) or remove a label.
+    Label(NodeId, String, bool),
+    DeleteRel(RelId),
+    /// Cypher 9 deletes with `Force` (or `Detach`); the revised check turns
+    /// these into its strict check (or the attached relationships) and
+    /// deletes with `Strict`.
+    DeleteNode(NodeId, DeleteNodeMode),
 }
 
-fn collect_set_item(
-    ctx: &ExecCtx,
-    rec: &Record,
-    item: &SetItem,
-    prop_changes: &mut BTreeMap<(EntityRef, String), Value>,
-    label_adds: &mut BTreeSet<(NodeId, String)>,
-) -> Result<()> {
-    let mut add_change = |entity: EntityRef, key: String, value: Value| -> Result<()> {
-        match prop_changes.get(&(entity, key.clone())) {
-            Some(prev) if !prev.equivalent(&value) => Err(EvalError::ConflictingSet {
-                entity,
-                key,
-                first: Box::new(prev.clone()),
-                second: Box::new(value),
-            }),
-            _ => {
-                prop_changes.insert((entity, key), value);
-                Ok(())
-            }
-        }
+/// What one item yields for one record, evaluated against the current
+/// graph.
+type Collect<I> = dyn Fn(&ExecCtx, &Record, &I) -> Result<Vec<Change>>;
+
+/// `SET` (§4.1, §7). Per item, Cypher 9 loses Example 1's swap and depends
+/// on the processing order in Example 2; the revised batch swaps, or
+/// rejects the conflicting assignment.
+pub(crate) fn set(ctx: &mut ExecCtx, items: &[SetItem]) -> Result<()> {
+    update(ctx, items, &set_changes)
+}
+
+/// `REMOVE` (§8.2): removals never conflict.
+pub(crate) fn remove(ctx: &mut ExecCtx, items: &[RemoveItem]) -> Result<()> {
+    update(ctx, items, &remove_changes)
+}
+
+/// `DELETE` / `DETACH DELETE` (§4.2, §7). Cypher 9 deletes at once, leaving
+/// a node's relationships dangling until they are deleted too (only the
+/// end-of-statement integrity check catches a statement that ends that
+/// way), and later writes to the deleted entities are no-ops. The revised
+/// batch fails if a node would keep an uncollected relationship (`DETACH`
+/// collects them instead), and nulls every reference to what it deleted.
+pub(crate) fn delete(ctx: &mut ExecCtx, detach: bool, exprs: &[Expr]) -> Result<()> {
+    let mode = if detach {
+        DeleteNodeMode::Detach
+    } else {
+        DeleteNodeMode::Force
     };
+    update(ctx, exprs, &move |ctx, rec, expr| {
+        let (rels, nodes) = match ctx.eval(rec, expr)? {
+            Value::Null => return Ok(vec![]),
+            Value::Node(n) => (vec![], vec![n]),
+            Value::Rel(r) => (vec![r], vec![]),
+            Value::Path(p) => (p.rels, p.nodes),
+            other => return Err(type_err("node, relationship or path", &other, "DELETE")),
+        };
+        let nodes = nodes.into_iter().map(|n| Change::DeleteNode(n, mode));
+        Ok(rels
+            .into_iter()
+            .map(Change::DeleteRel)
+            .chain(nodes)
+            .collect())
+    })
+}
+
+/// The `ON CREATE SET` / `ON MATCH SET` actions of a Cypher 9 `MERGE`: one
+/// record's `SET` items at item granularity.
+pub(crate) fn set_now(ctx: &mut ExecCtx, rec: &Record, items: &[SetItem]) -> Result<()> {
+    apply_items(ctx, rec, items, &set_changes)
+}
+
+/// Run an update clause at the dialect's granularity. The write budget is
+/// checked after each record (Cypher 9) or each applied change (revised).
+fn update<I>(ctx: &mut ExecCtx, items: &[I], collect: &Collect<I>) -> Result<()> {
+    match Granularity::from(ctx.engine.dialect) {
+        Granularity::Item => {
+            let order = ctx.order_indices();
+            let table = mem::take(&mut ctx.table);
+            for i in order {
+                apply_items(ctx, &table.rows[i], items, collect)?;
+                ctx.guard_writes()?;
+            }
+            ctx.table = table;
+            Ok(())
+        }
+        Granularity::Table => {
+            let mut batch = Checked::default();
+            for rec in &ctx.table.rows {
+                for item in items {
+                    for change in collect(ctx, rec, item)? {
+                        batch.add(ctx, change)?;
+                    }
+                }
+            }
+            batch.apply(ctx)
+        }
+    }
+}
+
+/// Item granularity: each item of the record is a batch of its own,
+/// collected and applied before the next item is evaluated.
+fn apply_items<I>(
+    ctx: &mut ExecCtx,
+    rec: &Record,
+    items: &[I],
+    collect: &Collect<I>,
+) -> Result<()> {
+    for item in items {
+        for change in collect(ctx, rec, item)? {
+            apply_change(ctx, change)?;
+        }
+    }
+    Ok(())
+}
+
+fn set_changes(ctx: &ExecCtx, rec: &Record, item: &SetItem) -> Result<Vec<Change>> {
     match item {
         SetItem::Property { target, key, value } => {
-            let t = ctx.eval(rec, target)?;
-            let Some(entity) = set_target(&t)? else {
-                return Ok(());
+            let Some(entity) = set_target(&ctx.eval(rec, target)?)? else {
+                return Ok(vec![]);
             };
             let v = ctx.eval(rec, value)?;
             if !v.is_null() && !v.storable_as_property() {
                 return Err(type_err("storable property value", &v, "SET"));
             }
-            add_change(entity, key.clone(), v)
+            Ok(vec![Change::Prop(entity, key.clone(), v)])
         }
-        SetItem::Replace { target, value } => {
-            let t = lookup_var(rec, target)?;
-            let Some(entity) = set_target(&t)? else {
-                return Ok(());
+        SetItem::Replace { target, value } | SetItem::MergeProps { target, value } => {
+            let Some(entity) = set_target(&lookup_var(rec, target)?)? else {
+                return Ok(vec![]);
             };
             let map = value_as_string_map(ctx, rec, value)?;
-            // Keys present on the input graph but absent from the new map
-            // are removed (recorded as null assignments).
-            for (k, _) in ctx.graph.props(entity) {
-                let key = ctx.graph.sym_str(k).to_owned();
-                if !map.contains_key(&key) {
-                    add_change(entity, key, Value::Null)?;
-                }
-            }
-            for (key, v) in map {
-                add_change(entity, key, v)?;
-            }
-            Ok(())
+            let replace = matches!(item, SetItem::Replace { .. });
+            Ok(vec![Change::Map(entity, map, replace)])
         }
-        SetItem::MergeProps { target, value } => {
-            let t = lookup_var(rec, target)?;
-            let Some(entity) = set_target(&t)? else {
-                return Ok(());
-            };
-            for (key, v) in value_as_string_map(ctx, rec, value)? {
-                add_change(entity, key, v)?;
-            }
-            Ok(())
-        }
-        SetItem::Labels { target, labels } => {
-            let t = lookup_var(rec, target)?;
-            match t {
-                Value::Null => Ok(()),
-                Value::Node(n) => {
-                    for l in labels {
-                        label_adds.insert((n, l.clone()));
-                    }
-                    Ok(())
-                }
-                other => Err(type_err("node", &other, "SET labels")),
-            }
-        }
+        SetItem::Labels { target, labels } => label_changes(rec, target, labels, true),
+    }
+}
+
+fn remove_changes(ctx: &ExecCtx, rec: &Record, item: &RemoveItem) -> Result<Vec<Change>> {
+    match item {
+        RemoveItem::Property { target, key } => Ok(set_target(&ctx.eval(rec, target)?)?
+            .map(|entity| vec![Change::Prop(entity, key.clone(), Value::Null)])
+            .unwrap_or_default()),
+        RemoveItem::Labels { target, labels } => label_changes(rec, target, labels, false),
     }
 }
 
@@ -364,20 +343,26 @@ fn set_target(v: &Value) -> Result<Option<EntityRef>> {
     }
 }
 
+/// A label item's changes: one per label of the target node, none for
+/// `null`.
+fn label_changes(rec: &Record, var: &str, labels: &[String], add: bool) -> Result<Vec<Change>> {
+    match lookup_var(rec, var)? {
+        Value::Null => Ok(vec![]),
+        Value::Node(n) => Ok(labels
+            .iter()
+            .map(|l| Change::Label(n, l.clone(), add))
+            .collect()),
+        other => Err(match add {
+            true => type_err("node", &other, "SET labels"),
+            false => type_err("node", &other, "REMOVE labels"),
+        }),
+    }
+}
+
 fn lookup_var(rec: &Record, var: &str) -> Result<Value> {
     rec.get(var)
         .cloned()
         .ok_or_else(|| EvalError::UnknownVariable(var.to_owned()))
-}
-
-/// Is the entity still live (not a legacy zombie)? Writes to zombies are
-/// silent no-ops, matching the §4.2 observation that the query "goes
-/// through without an error".
-fn live(ctx: &ExecCtx, entity: EntityRef) -> bool {
-    match entity {
-        EntityRef::Node(n) => ctx.graph.contains_node(n),
-        EntityRef::Rel(r) => ctx.graph.contains_rel(r),
-    }
 }
 
 /// `SET n = expr` / `SET n += expr` right-hand sides: a map, a node or a
@@ -387,325 +372,231 @@ fn value_as_string_map(
     rec: &Record,
     value: &Expr,
 ) -> Result<BTreeMap<String, Value>> {
-    let v = ctx.eval(rec, value)?;
-    let map = match v {
-        Value::Map(m) => m,
-        Value::Node(n) => ctx
-            .graph
-            .props(EntityRef::Node(n))
-            .into_iter()
-            .map(|(k, v)| (ctx.graph.sym_str(k).to_owned(), v))
-            .collect(),
-        Value::Rel(r) => ctx
-            .graph
-            .props(EntityRef::Rel(r))
-            .into_iter()
-            .map(|(k, v)| (ctx.graph.sym_str(k).to_owned(), v))
-            .collect(),
+    let entity = match ctx.eval(rec, value)? {
+        Value::Map(map) => {
+            return match map
+                .values()
+                .find(|v| !v.is_null() && !v.storable_as_property())
+            {
+                Some(v) => Err(type_err("storable property value", v, "SET =/+=")),
+                None => Ok(map),
+            }
+        }
+        Value::Node(n) => EntityRef::Node(n),
+        Value::Rel(r) => EntityRef::Rel(r),
         other => return Err(type_err("map, node or relationship", &other, "SET =/+=")),
     };
-    for v in map.values() {
-        if !v.is_null() && !v.storable_as_property() {
-            return Err(type_err("storable property value", v, "SET =/+="));
-        }
-    }
-    Ok(map)
-}
-
-fn value_as_prop_map(ctx: &mut ExecCtx, rec: &Record, value: &Expr) -> Result<PropertyMap> {
-    let string_map = value_as_string_map(ctx, rec, value)?;
-    Ok(string_map
-        .into_iter()
-        .map(|(k, v)| (ctx.graph.sym(&k), v))
+    let props = ctx.graph.props(entity).into_iter();
+    Ok(props
+        .map(|(k, v)| (ctx.graph.sym_str(k).to_owned(), v))
         .collect())
 }
 
-// ---------------------------------------------------------------------
-// REMOVE
-// ---------------------------------------------------------------------
-
-/// Legacy `REMOVE`: record-by-record.
-pub(crate) fn remove_legacy(ctx: &mut ExecCtx, items: &[RemoveItem]) -> Result<()> {
-    let rows = ctx.table.rows.clone();
-    for i in ctx.order_indices() {
-        for item in items {
-            apply_remove_item(ctx, &rows[i], item)?;
-        }
-        ctx.guard_writes()?;
-    }
-    Ok(())
+/// Table granularity: the §7 change sets of the whole driving table —
+/// `propchanges` with one value per (entity, key), `labchanges`, and the
+/// entities to delete.
+#[derive(Default)]
+struct Checked {
+    props: BTreeMap<(EntityRef, String), Value>,
+    /// `(node, label, add)`: a clause only adds or only removes labels.
+    labels: BTreeSet<(NodeId, String, bool)>,
+    rels: BTreeSet<RelId>,
+    nodes: BTreeMap<NodeId, DeleteNodeMode>,
 }
 
-/// Atomic `REMOVE` (§8.2): removals cannot conflict, so the two-phase
-/// evaluation reduces to collecting and applying.
-pub(crate) fn remove_atomic(ctx: &mut ExecCtx, items: &[RemoveItem]) -> Result<()> {
-    let mut prop_removals: BTreeSet<(EntityRef, String)> = BTreeSet::new();
-    let mut label_removals: BTreeSet<(NodeId, String)> = BTreeSet::new();
-    let rows = ctx.table.rows.clone();
-    for rec in &rows {
-        for item in items {
-            match item {
-                RemoveItem::Property { target, key } => {
-                    let t = ctx.eval(rec, target)?;
-                    if let Some(entity) = set_target(&t)? {
-                        prop_removals.insert((entity, key.clone()));
+impl Checked {
+    /// Add one change, rejecting a second, different value for a key
+    /// ("ambiguous update aborts").
+    fn add(&mut self, ctx: &ExecCtx, change: Change) -> Result<()> {
+        match change {
+            Change::Prop(entity, key, value) => match self.props.get(&(entity, key.clone())) {
+                Some(prev) if !prev.equivalent(&value) => {
+                    return Err(EvalError::ConflictingSet {
+                        entity,
+                        key,
+                        first: Box::new(prev.clone()),
+                        second: Box::new(value),
+                    })
+                }
+                _ => {
+                    self.props.insert((entity, key), value);
+                }
+            },
+            Change::Map(entity, map, replace) => {
+                // Keys on the input graph but absent from the new map are
+                // removed (recorded as null assignments).
+                if replace {
+                    for (k, _) in ctx.graph.props(entity) {
+                        let key = ctx.graph.sym_str(k);
+                        if !map.contains_key(key) {
+                            self.add(ctx, Change::Prop(entity, key.to_owned(), Value::Null))?;
+                        }
                     }
                 }
-                RemoveItem::Labels { target, labels } => {
-                    let t = lookup_var(rec, target)?;
-                    match t {
-                        Value::Null => {}
-                        Value::Node(n) => {
-                            for l in labels {
-                                label_removals.insert((n, l.clone()));
-                            }
-                        }
-                        other => return Err(type_err("node", &other, "REMOVE labels")),
-                    }
+                for (key, v) in map {
+                    self.add(ctx, Change::Prop(entity, key, v))?;
+                }
+            }
+            Change::Label(n, l, add) => {
+                self.labels.insert((n, l, add));
+            }
+            Change::DeleteRel(r) => {
+                self.rels.insert(r);
+            }
+            Change::DeleteNode(n, mode) => {
+                self.nodes.insert(n, mode);
+            }
+        }
+        Ok(())
+    }
+
+    /// Check the deletions, apply the batch (properties, labels,
+    /// relationships, then nodes), and replace every reference to a deleted
+    /// entity in the driving table with `null` (§7).
+    fn apply(self, ctx: &mut ExecCtx) -> Result<()> {
+        let Checked {
+            props,
+            labels,
+            mut rels,
+            nodes,
+        } = self;
+        for (&n, &mode) in &nodes {
+            let attached = ctx.graph.rels_iter(n, Direction::Either);
+            if mode == DeleteNodeMode::Detach {
+                rels.extend(attached);
+            } else {
+                let attached = attached.filter(|r| !rels.contains(r)).count();
+                if attached > 0 {
+                    return Err(EvalError::DeleteWouldDangle { node: n, attached });
                 }
             }
         }
-    }
-    for (entity, key) in prop_removals {
-        if live(ctx, entity) {
-            let k = ctx.graph.sym(&key);
-            ctx.graph.set_prop(entity, k, Value::Null)?;
-            ctx.stats.props_set += 1;
+        let props = props.into_iter().map(|((e, k), v)| Change::Prop(e, k, v));
+        let labels = labels
+            .into_iter()
+            .map(|(n, l, add)| Change::Label(n, l, add));
+        let del_rels = rels.iter().map(|&r| Change::DeleteRel(r));
+        let del_nodes = nodes
+            .keys()
+            .map(|&n| Change::DeleteNode(n, DeleteNodeMode::Strict));
+        for change in props.chain(labels).chain(del_rels).chain(del_nodes) {
+            apply_change(ctx, change)?;
+            ctx.guard_writes()?;
         }
-        ctx.guard_writes()?;
+        if !nodes.is_empty() || !rels.is_empty() {
+            let gone = |e: EntityRef| match e {
+                EntityRef::Node(n) => nodes.contains_key(&n),
+                EntityRef::Rel(r) => rels.contains(&r),
+            };
+            for rec in &mut ctx.table.rows {
+                rec.map_values(&mut |v| substitute_deleted(v, &gone));
+            }
+        }
+        Ok(())
     }
-    for (node, label) in label_removals {
-        if ctx.graph.contains_node(node) {
-            if let Some(sym) = ctx.graph.try_sym(&label) {
-                if ctx.graph.remove_label(node, sym)? {
+}
+
+/// Apply one change to the current graph. A change to an entity that is
+/// gone (a Cypher 9 zombie) is a silent no-op, matching the §4.2
+/// observation that the query "goes through without an error".
+fn apply_change(ctx: &mut ExecCtx, change: Change) -> Result<()> {
+    match change {
+        Change::Prop(entity, key, value) => {
+            if live(ctx, entity) {
+                let k = ctx.graph.sym(&key);
+                ctx.graph.set_prop(entity, k, value)?;
+                ctx.stats.props_set += 1;
+            }
+        }
+        Change::Map(entity, map, replace) => {
+            // Every key is interned, even for a zombie.
+            let len = map.len();
+            let map: PropertyMap = map
+                .into_iter()
+                .map(|(k, v)| (ctx.graph.sym(&k), v))
+                .collect();
+            if live(ctx, entity) {
+                if replace {
+                    ctx.stats.props_set += len.max(1);
+                    ctx.graph.replace_props(entity, map)?;
+                } else {
+                    ctx.stats.props_set += len;
+                    ctx.graph.merge_props(entity, map)?;
+                }
+            }
+        }
+        Change::Label(node, label, true) => {
+            if ctx.graph.contains_node(node) {
+                let l = ctx.graph.sym(&label);
+                if ctx.graph.add_label(node, l)? {
+                    ctx.stats.labels_added += 1;
+                }
+            }
+        }
+        Change::Label(node, label, false) => {
+            if let Some(l) = ctx.graph.try_sym(&label) {
+                if ctx.graph.contains_node(node) && ctx.graph.remove_label(node, l)? {
                     ctx.stats.labels_removed += 1;
                 }
             }
         }
-        ctx.guard_writes()?;
-    }
-    Ok(())
-}
-
-fn apply_remove_item(ctx: &mut ExecCtx, rec: &Record, item: &RemoveItem) -> Result<()> {
-    match item {
-        RemoveItem::Property { target, key } => {
-            let t = ctx.eval(rec, target)?;
-            if let Some(entity) = set_target(&t)? {
-                if live(ctx, entity) {
-                    let k = ctx.graph.sym(key);
-                    ctx.graph.set_prop(entity, k, Value::Null)?;
-                    ctx.stats.props_set += 1;
-                }
-            }
-            Ok(())
-        }
-        RemoveItem::Labels { target, labels } => {
-            let t = lookup_var(rec, target)?;
-            match t {
-                Value::Null => Ok(()),
-                Value::Node(n) => {
-                    if ctx.graph.contains_node(n) {
-                        for l in labels {
-                            if let Some(sym) = ctx.graph.try_sym(l) {
-                                if ctx.graph.remove_label(n, sym)? {
-                                    ctx.stats.labels_removed += 1;
-                                }
-                            }
-                        }
-                    }
-                    Ok(())
-                }
-                other => Err(type_err("node", &other, "REMOVE labels")),
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// DELETE
-// ---------------------------------------------------------------------
-
-/// Legacy `DELETE` (§4.2): per-record immediate deletion. Deleting a node
-/// with attached relationships leaves them *dangling* — the graph is
-/// illegal until they are deleted too, and only the end-of-statement
-/// integrity check catches a statement that ends in that state.
-pub(crate) fn delete_legacy(ctx: &mut ExecCtx, detach: bool, exprs: &[Expr]) -> Result<()> {
-    let rows = ctx.table.rows.clone();
-    for i in ctx.order_indices() {
-        for expr in exprs {
-            let v = ctx.eval(&rows[i], expr)?;
-            delete_value_now(ctx, v, detach)?;
-        }
-        ctx.guard_writes()?;
-    }
-    Ok(())
-}
-
-fn delete_value_now(ctx: &mut ExecCtx, v: Value, detach: bool) -> Result<()> {
-    match v {
-        Value::Null => Ok(()),
-        Value::Node(n) => {
-            if ctx.graph.contains_node(n) {
-                let mode = if detach {
-                    DeleteNodeMode::Detach
-                } else {
-                    DeleteNodeMode::Force
-                };
-                let cascaded = ctx.graph.delete_node(n, mode)?;
-                ctx.stats.nodes_deleted += 1;
-                ctx.stats.rels_deleted += cascaded.len();
-            }
-            Ok(())
-        }
-        Value::Rel(r) => {
+        Change::DeleteRel(r) => {
             if ctx.graph.contains_rel(r) {
                 ctx.graph.delete_rel(r)?;
                 ctx.stats.rels_deleted += 1;
             }
-            Ok(())
         }
-        Value::Path(p) => {
-            for r in p.rels {
-                delete_value_now(ctx, Value::Rel(r), detach)?;
-            }
-            for n in p.nodes {
-                delete_value_now(ctx, Value::Node(n), detach)?;
-            }
-            Ok(())
-        }
-        other => Err(type_err("node, relationship or path", &other, "DELETE")),
-    }
-}
-
-/// Atomic `DELETE` (§7): collect the full deletion set over the whole
-/// table, fail if any collected node would be left with an uncollected
-/// relationship (strict), or extend the set with attached relationships
-/// (`DETACH`). Apply, then replace references to deleted entities in the
-/// driving table with `null`.
-pub(crate) fn delete_atomic(ctx: &mut ExecCtx, detach: bool, exprs: &[Expr]) -> Result<()> {
-    // Phase 1: collect.
-    let mut nodes: BTreeSet<NodeId> = BTreeSet::new();
-    let mut rels: BTreeSet<RelId> = BTreeSet::new();
-    let rows = ctx.table.rows.clone();
-    for rec in &rows {
-        for expr in exprs {
-            collect_deletions(ctx, ctx.eval(rec, expr)?, &mut nodes, &mut rels)?;
-        }
-    }
-    if detach {
-        for &n in &nodes {
-            rels.extend(ctx.graph.rels_of(n, cypher_graph::Direction::Either));
-        }
-    } else {
-        for &n in &nodes {
-            let attached: Vec<RelId> = ctx
-                .graph
-                .rels_of(n, cypher_graph::Direction::Either)
-                .into_iter()
-                .filter(|r| !rels.contains(r))
-                .collect();
-            if !attached.is_empty() {
-                return Err(EvalError::DeleteWouldDangle {
-                    node: n,
-                    attached: attached.len(),
-                });
+        Change::DeleteNode(n, mode) => {
+            if ctx.graph.contains_node(n) {
+                let cascaded = ctx.graph.delete_node(n, mode)?;
+                ctx.stats.nodes_deleted += 1;
+                ctx.stats.rels_deleted += cascaded.len();
             }
         }
-    }
-
-    // Phase 2: apply (relationships first, then nodes strictly).
-    for &r in &rels {
-        if ctx.graph.contains_rel(r) {
-            ctx.graph.delete_rel(r)?;
-            ctx.stats.rels_deleted += 1;
-        }
-        ctx.guard_writes()?;
-    }
-    for &n in &nodes {
-        if ctx.graph.contains_node(n) {
-            ctx.graph.delete_node(n, DeleteNodeMode::Strict)?;
-            ctx.stats.nodes_deleted += 1;
-        }
-        ctx.guard_writes()?;
-    }
-
-    // Phase 3: "any reference to a deleted entity in the driving table is
-    // replaced by a null" (§7).
-    for rec in &mut ctx.table.rows {
-        rec.map_values(&mut |v| substitute_deleted(v, &nodes, &rels));
     }
     Ok(())
 }
 
-fn collect_deletions(
-    ctx: &ExecCtx,
-    v: Value,
-    nodes: &mut BTreeSet<NodeId>,
-    rels: &mut BTreeSet<RelId>,
-) -> Result<()> {
-    match v {
-        Value::Null => Ok(()),
-        Value::Node(n) => {
-            if ctx.graph.contains_node(n) {
-                nodes.insert(n);
-            }
-            Ok(())
-        }
-        Value::Rel(r) => {
-            if ctx.graph.contains_rel(r) {
-                rels.insert(r);
-            }
-            Ok(())
-        }
-        Value::Path(p) => {
-            for n in p.nodes {
-                if ctx.graph.contains_node(n) {
-                    nodes.insert(n);
-                }
-            }
-            for r in p.rels {
-                if ctx.graph.contains_rel(r) {
-                    rels.insert(r);
-                }
-            }
-            Ok(())
-        }
-        other => Err(type_err("node, relationship or path", &other, "DELETE")),
+/// Is the entity still live (not a legacy zombie)?
+fn live(ctx: &ExecCtx, entity: EntityRef) -> bool {
+    match entity {
+        EntityRef::Node(n) => ctx.graph.contains_node(n),
+        EntityRef::Rel(r) => ctx.graph.contains_rel(r),
     }
 }
 
-/// Recursive null substitution for deleted references.
-fn substitute_deleted(
-    v: &Value,
-    nodes: &BTreeSet<NodeId>,
-    rels: &BTreeSet<RelId>,
-) -> Option<Value> {
+/// Null substitution for deleted references, through lists and maps.
+fn substitute_deleted(v: &Value, gone: &dyn Fn(EntityRef) -> bool) -> Option<Value> {
     match v {
-        Value::Node(n) if nodes.contains(n) => Some(Value::Null),
-        Value::Rel(r) if rels.contains(r) => Some(Value::Null),
+        Value::Node(n) if gone(EntityRef::Node(*n)) => Some(Value::Null),
+        Value::Rel(r) if gone(EntityRef::Rel(*r)) => Some(Value::Null),
         Value::Path(p)
-            if p.nodes.iter().any(|n| nodes.contains(n))
-                || p.rels.iter().any(|r| rels.contains(r)) =>
+            if p.nodes.iter().any(|&n| gone(n.into()))
+                || p.rels.iter().any(|&r| gone(r.into())) =>
         {
             Some(Value::Null)
         }
-        Value::List(items) => {
-            let mut changed = false;
-            let new: Vec<Value> = items
-                .iter()
-                .map(|i| match substitute_deleted(i, nodes, rels) {
-                    Some(n) => {
-                        changed = true;
-                        n
-                    }
-                    None => i.clone(),
-                })
-                .collect();
-            changed.then_some(Value::List(new))
-        }
+        Value::List(items) => substitute_each(items.iter(), gone).map(Value::List),
+        Value::Map(m) => substitute_each(m.values(), gone)
+            .map(|vals| Value::Map(m.keys().cloned().zip(vals).collect())),
         _ => None,
     }
+}
+
+/// Substitute inside a collection; `None` when nothing changed.
+fn substitute_each<'v>(
+    items: impl Iterator<Item = &'v Value>,
+    gone: &dyn Fn(EntityRef) -> bool,
+) -> Option<Vec<Value>> {
+    let mut changed = false;
+    let new = items
+        .map(|i| {
+            substitute_deleted(i, gone)
+                .inspect(|_| changed = true)
+                .unwrap_or_else(|| i.clone())
+        })
+        .collect();
+    changed.then_some(new)
 }
 
 // ---------------------------------------------------------------------
@@ -716,10 +607,10 @@ fn substitute_deleted(
 /// element per record, with the element bound. The driving table is
 /// unchanged.
 pub(crate) fn foreach(ctx: &mut ExecCtx, var: &str, list: &Expr, body: &[Clause]) -> Result<()> {
-    let rows = ctx.table.rows.clone();
-    for i in ctx.order_indices() {
-        let v = ctx.eval(&rows[i], list)?;
-        let items = match v {
+    let order = ctx.order_indices();
+    let table = mem::take(&mut ctx.table);
+    for i in order {
+        let items = match ctx.eval(&table.rows[i], list)? {
             Value::Null => continue,
             Value::List(items) => items,
             other => return Err(type_err("list", &other, "FOREACH")),
@@ -728,13 +619,12 @@ pub(crate) fn foreach(ctx: &mut ExecCtx, var: &str, list: &Expr, body: &[Clause]
             // Each iteration materializes one inner driving record; the
             // budget bounds runaway `FOREACH (x IN range(...) | ...)`.
             ctx.charge_rows(1)?;
-            let mut inner = rows[i].clone();
+            let mut inner = table.rows[i].clone();
             inner.bind(var.to_owned(), item);
-            let saved = mem::replace(&mut ctx.table, Table::from_rows(vec![inner]));
-            let result: Result<()> = body.iter().try_for_each(|c| ctx.apply(c));
-            ctx.table = saved;
-            result?;
+            ctx.table = Table::from_rows(vec![inner]);
+            body.iter().try_for_each(|c| ctx.apply(c))?;
         }
     }
+    ctx.table = table;
     Ok(())
 }

@@ -2,7 +2,7 @@
 //! `reduce`, and the legacy `MERGE … ON CREATE SET / ON MATCH SET` actions.
 
 use cypher_core::{Engine, EvalError};
-use cypher_graph::{PropertyGraph, Value};
+use cypher_graph::{Delta, EntityRef, NodeId, PropertyGraph, Value};
 
 fn eval1(expr: &str) -> Value {
     let mut g = PropertyGraph::new();
@@ -196,6 +196,7 @@ fn merge_on_create_runs_only_for_created() {
     let mut g = PropertyGraph::new();
     let e = Engine::legacy();
     e.run(&mut g, "CREATE (:User {id: 1})").unwrap();
+    g.enable_delta_capture();
     e.run(
         &mut g,
         "UNWIND [1, 2] AS uid \
@@ -204,6 +205,24 @@ fn merge_on_create_runs_only_for_created() {
          ON MATCH SET u.matched = true",
     )
     .unwrap();
+    // Per record: the match's action, or the creation and then its action.
+    let set = |node: u64, key: &str| Delta::SetProp {
+        entity: EntityRef::Node(NodeId(node)),
+        key: key.to_owned(),
+        value: Some(Value::Bool(true)),
+    };
+    assert_eq!(
+        Delta::from_ops(&g.take_delta(), &g),
+        vec![
+            set(0, "matched"),
+            Delta::CreateNode {
+                id: 1,
+                labels: vec!["User".to_owned()],
+                props: vec![("id".to_owned(), Value::Int(2))],
+            },
+            set(1, "created"),
+        ]
+    );
     let r = e
         .run(
             &mut g,

@@ -289,6 +289,25 @@ fn set_replace_and_merge_props() {
             .unwrap();
         assert_eq!(r.rows[0], vec![Value::Null, Value::Int(4)]);
     }
+    // `props_set` for `SET n = map`: Cypher 9 counts the map's keys (at
+    // least one), the revised dialect one per change, removals included.
+    for (engine, replaced, emptied) in [(Engine::legacy(), 2, 1), (Engine::revised(), 4, 2)] {
+        let mut g = PropertyGraph::new();
+        engine.run(&mut g, "CREATE (:N {p: 1, q: 2})").unwrap();
+        let r = engine
+            .run(&mut g, "MATCH (n:N) SET n = {z: 1, b: 2}")
+            .unwrap();
+        assert_eq!(r.stats.props_set, replaced);
+        let r = engine
+            .run(&mut g, "MATCH (n:N) RETURN keys(n) AS k")
+            .unwrap();
+        assert_eq!(
+            r.rows[0][0],
+            Value::list([Value::str("b"), Value::str("z")])
+        );
+        let r = engine.run(&mut g, "MATCH (n:N) SET n = {}").unwrap();
+        assert_eq!(r.stats.props_set, emptied);
+    }
 }
 
 #[test]
@@ -427,6 +446,19 @@ fn revised_delete_nulls_out_references() {
     // by a null" — u is gone, p survives.
     assert_eq!(r.rows[0][0], Value::Null);
     assert!(matches!(r.rows[0][1], Value::Node(_)));
+    // ... also inside lists and maps.
+    let mut g = order_graph();
+    let r = Engine::revised()
+        .run(
+            &mut g,
+            "MATCH (u:User) WITH u, [u] AS l, {k: u} AS m, {k: [u]} AS ml \
+             DETACH DELETE u RETURN l, m, ml",
+        )
+        .unwrap();
+    assert_eq!(r.rows[0][0], Value::list([Value::Null]));
+    let m = |v: Value| Value::Map([("k".to_owned(), v)].into_iter().collect());
+    assert_eq!(r.rows[0][1], m(Value::Null));
+    assert_eq!(r.rows[0][2], m(Value::list([Value::Null])));
 }
 
 #[test]

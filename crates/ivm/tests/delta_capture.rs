@@ -37,6 +37,26 @@ fn detach_delete_orders_rels_before_node() {
         committed(&mut g),
         vec![Delta::DeleteRel { id: 0 }, Delta::DeleteNode { id: 0 }]
     );
+    // Cypher 9 cascades in adjacency order (outgoing first); the revised
+    // dialect deletes the collected relationships in id order.
+    for (engine, rels) in [(Engine::legacy(), [1, 0]), (Engine::revised(), [0, 1])] {
+        let mut g = PropertyGraph::new();
+        engine
+            .run(&mut g, "CREATE (:Y)-[:T]->(:X)-[:T]->(:Z)")
+            .expect("seed");
+        g.enable_delta_capture();
+        engine
+            .run(&mut g, "MATCH (x:X) DETACH DELETE x")
+            .expect("detach delete");
+        assert_eq!(
+            committed(&mut g),
+            vec![
+                Delta::DeleteRel { id: rels[0] },
+                Delta::DeleteRel { id: rels[1] },
+                Delta::DeleteNode { id: 1 },
+            ]
+        );
+    }
 }
 
 /// `SET n = {map}` decomposes into one `SetProp` per changed key — removed
@@ -69,6 +89,29 @@ fn set_map_emits_one_setprop_per_changed_key() {
     // `city` is added.
     assert_eq!(removed, vec!["age".to_owned()]);
     assert_eq!(set, vec!["city".to_owned()]);
+    // The order of the ops: Cypher 9 removes the absent keys, then sets the
+    // map's keys, each in interning order (`name` before `age`); the
+    // revised dialect writes every change in key order.
+    for (engine, keys) in [
+        (Engine::legacy(), ["name", "age", "city", "zeta"]),
+        (Engine::revised(), ["age", "city", "name", "zeta"]),
+    ] {
+        let (_, mut g) = seeded();
+        engine
+            .run(
+                &mut g,
+                "MATCH (n:Person {name: 'a'}) SET n = {zeta: 1, city: 'x'}",
+            )
+            .expect("set map");
+        let written: Vec<String> = committed(&mut g)
+            .into_iter()
+            .map(|op| match op {
+                Delta::SetProp { key, .. } => key,
+                other => panic!("unexpected op in SET n = map delta: {other:?}"),
+            })
+            .collect();
+        assert_eq!(written, keys);
+    }
 }
 
 /// A rolled-back statement contributes nothing: its journal entries are

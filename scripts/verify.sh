@@ -53,6 +53,16 @@ run "perfbench smoke" cargo run --offline -q --manifest-path perfbench/Cargo.tom
 # under the Cypher 9 dialect.
 run "cypher-lint (examples)" cargo run --bin cypher-lint --offline -q -- --dialect cypher9 examples/*.cypher
 
+# Examples: the two that walk through the paper's update semantics run
+# every legacy and revised update statement they show with `unwrap`, so a
+# panic on either dialect's update path fails this step. Output is the
+# walkthrough itself, not a check.
+run_examples() {
+    cargo run --offline -q --example legacy_pitfalls >/dev/null \
+        && cargo run --offline -q --example merge_semantics >/dev/null
+}
+run "examples (update walkthroughs)" run_examples
+
 # Fuzz smoke: a fixed-seed, time-bounded differential campaign across all
 # oracle pairs (planner/naive, lint on/off, serial/parallel, WAL
 # recovery, replica replay, atomicity, panics) plus the metamorphic

@@ -116,3 +116,33 @@ fn zero_timeout_always_trips() {
         assert_eq!(g.node_count(), 0, "statement {stmt:?} left side effects");
     }
 }
+
+/// The write budget is checked between records in Cypher 9 and between
+/// applied changes in the revised dialect, never between the items of one
+/// record: a record whose third `SET` item is not storable fails with the
+/// type error in both dialects, although its first two items already exceed
+/// a one-write budget.
+#[test]
+fn write_budget_is_checked_after_the_record_in_both_dialects() {
+    let limits = ExecLimits {
+        max_writes: Some(1),
+        ..ExecLimits::NONE
+    };
+    for dialect in [Dialect::Cypher9, Dialect::Revised] {
+        let mut g = PropertyGraph::new();
+        Engine::builder(dialect)
+            .build()
+            .run(&mut g, "CREATE (:A), (:A)")
+            .expect("seed");
+        let err = Engine::builder(dialect)
+            .limits(limits)
+            .build()
+            .run(&mut g, "MATCH (n:A) SET n.a = 1, n.b = 2, n.c = {x: 1}")
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "type error in SET: expected storable property value, got map",
+            "{dialect:?}"
+        );
+    }
+}
