@@ -76,7 +76,7 @@ pub fn analyze(source: &str, query: &Query, dialect: Dialect) -> Vec<Diagnostic>
 }
 
 fn analyze_single(source: &str, sq: &SingleQuery, dialect: Dialect, diags: &mut Vec<Diagnostic>) {
-    let scoped = scope::scope_pass(source, sq, diags);
+    let scoped = scope::scope_pass(source, sq, dialect, diags);
     hazards::hazard_pass(source, sq, dialect, &scoped.facts, diags);
     shape::shape_pass(sq, diags);
 }

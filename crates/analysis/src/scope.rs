@@ -20,7 +20,8 @@ use std::collections::HashMap;
 
 use cypher_graph::EntityKind;
 use cypher_parser::ast::{
-    Clause, Expr, Lit, PathPattern, Projection, ProjectionItems, RemoveItem, SetItem, SingleQuery,
+    Clause, Dialect, Expr, Lit, NodePattern, PathPattern, Projection, ProjectionItems, RemoveItem,
+    SetItem, SingleQuery,
 };
 use cypher_parser::{Span, Token};
 
@@ -79,6 +80,7 @@ pub struct ScopeResult {
 
 struct Scope<'a> {
     source: &'a str,
+    dialect: Dialect,
     env: HashMap<String, VarKind>,
     multi_row: bool,
     deleted: HashMap<String, usize>,
@@ -90,9 +92,15 @@ struct Scope<'a> {
 }
 
 /// Run the scope pass over one single query.
-pub fn scope_pass(source: &str, sq: &SingleQuery, diags: &mut Vec<Diagnostic>) -> ScopeResult {
+pub fn scope_pass(
+    source: &str,
+    sq: &SingleQuery,
+    dialect: Dialect,
+    diags: &mut Vec<Diagnostic>,
+) -> ScopeResult {
     let mut scope = Scope {
         source,
+        dialect,
         env: HashMap::new(),
         multi_row: false,
         deleted: HashMap::new(),
@@ -175,7 +183,7 @@ impl Scope<'_> {
                 ..
             } => {
                 for p in patterns {
-                    self.bind_pattern(p, PatternMode::Read);
+                    self.bind_pattern(p);
                 }
                 for p in patterns {
                     self.check_pattern_props(p);
@@ -192,14 +200,7 @@ impl Scope<'_> {
             }
             Clause::With(p) => self.projection(p, true),
             Clause::Return(p) => self.projection(p, false),
-            Clause::Create { patterns } => {
-                for p in patterns {
-                    self.bind_pattern(p, PatternMode::Create);
-                }
-                for p in patterns {
-                    self.check_pattern_props(p);
-                }
-            }
+            Clause::Create { patterns } => self.write_patterns(patterns, "CREATE"),
             Clause::Set { items } => {
                 for item in items {
                     self.set_item(item);
@@ -242,12 +243,7 @@ impl Scope<'_> {
                 on_match,
                 ..
             } => {
-                for p in patterns {
-                    self.bind_pattern(p, PatternMode::Merge);
-                }
-                for p in patterns {
-                    self.check_pattern_props(p);
-                }
+                self.write_patterns(patterns, "MERGE");
                 for item in on_create.iter().chain(on_match) {
                     self.set_item(item);
                 }
@@ -372,7 +368,9 @@ impl Scope<'_> {
     // Patterns
     // --------------------------------------------------------------
 
-    fn bind_pattern(&mut self, p: &PathPattern, mode: PatternMode) {
+    /// Bind a reading pattern's variables and record its adjacency
+    /// evidence; its properties are checked once the whole clause is bound.
+    fn bind_pattern(&mut self, p: &PathPattern) {
         if let Some(pv) = &p.var {
             self.bind(pv, VarKind::Path);
         }
@@ -382,42 +380,85 @@ impl Scope<'_> {
         let mut prev = p.start.var.clone();
         for (rel, node) in &p.steps {
             if let Some(rv) = &rel.var {
-                if rel.length.is_some() {
-                    // A var-length pattern binds the variable to the *list*
-                    // of traversed relationships.
-                    self.bind(rv, VarKind::Value);
-                } else {
-                    if mode != PatternMode::Read && self.env.contains_key(rv) {
-                        self.diags.push(Diagnostic::new(
-                            Code::E02KindMismatch,
-                            self.var_span(rv),
-                            format!(
-                                "relationship variable `{rv}` in {} must be fresh",
-                                if mode == PatternMode::Create {
-                                    "CREATE"
-                                } else {
-                                    "MERGE"
-                                }
-                            ),
-                        ));
-                    }
-                    self.bind(rv, VarKind::rel());
-                }
+                // A var-length pattern binds the variable to the *list* of
+                // traversed relationships.
+                let kind = match rel.length {
+                    Some(_) => VarKind::Value,
+                    None => VarKind::rel(),
+                };
+                self.bind(rv, kind);
             }
             if let Some(nv) = &node.var {
                 self.bind(nv, VarKind::node());
             }
-            if mode == PatternMode::Read {
-                // Record adjacency evidence: matching this step proves the
-                // endpoint nodes have at least one incident relationship.
-                for n in [&prev, &node.var].into_iter().flatten() {
-                    self.incident_rels
-                        .entry(n.clone())
-                        .or_default()
-                        .push(rel.var.clone());
-                }
+            // Record adjacency evidence: matching this step proves the
+            // endpoint nodes have at least one incident relationship.
+            for n in [&prev, &node.var].into_iter().flatten() {
+                self.incident_rels
+                    .entry(n.clone())
+                    .or_default()
+                    .push(rel.var.clone());
             }
             prev = node.var.clone();
+        }
+    }
+
+    /// Bind a `CREATE`/`MERGE` pattern's variables in the order the engine
+    /// creates them — per path the start node, then per step the far node
+    /// and the relationship, then the path — checking each element's
+    /// properties just before it is bound. Cypher 9 evaluates them in the
+    /// record as it stands at that point, so they may name what the clause
+    /// bound earlier; the revised dialect evaluates them in the clause's
+    /// input record, so they may name nothing the clause binds.
+    fn write_patterns(&mut self, patterns: &[PathPattern], clause: &str) {
+        let mut input = (self.dialect == Dialect::Revised).then(|| self.env.clone());
+        for p in patterns {
+            self.write_node(&p.start, &mut input);
+            for (rel, node) in &p.steps {
+                self.write_node(node, &mut input);
+                self.write_props(&rel.props, &mut input);
+                let Some(rv) = &rel.var else { continue };
+                if rel.length.is_some() {
+                    self.bind(rv, VarKind::Value);
+                    continue;
+                }
+                if self.env.contains_key(rv) {
+                    self.diags.push(Diagnostic::new(
+                        Code::E02KindMismatch,
+                        self.var_span(rv),
+                        format!("relationship variable `{rv}` in {clause} must be fresh"),
+                    ));
+                }
+                self.bind(rv, VarKind::rel());
+            }
+            if let Some(pv) = &p.var {
+                self.bind(pv, VarKind::Path);
+            }
+        }
+    }
+
+    fn write_node(&mut self, node: &NodePattern, input: &mut Option<HashMap<String, VarKind>>) {
+        self.write_props(&node.props, input);
+        if let Some(nv) = &node.var {
+            self.bind(nv, VarKind::node());
+        }
+    }
+
+    /// Check write-pattern properties in the clause's `input` environment
+    /// when there is one, else in the current one.
+    fn write_props(
+        &mut self,
+        props: &[(String, Expr)],
+        input: &mut Option<HashMap<String, VarKind>>,
+    ) {
+        if let Some(env) = input {
+            std::mem::swap(&mut self.env, env);
+        }
+        for (_, e) in props {
+            self.check_expr(e, &mut Vec::new());
+        }
+        if let Some(env) = input {
+            std::mem::swap(&mut self.env, env);
         }
     }
 
@@ -499,22 +540,19 @@ impl Scope<'_> {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PatternMode {
-    Read,
-    Create,
-    Merge,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cypher_parser::parse;
 
     fn diags_for(src: &str) -> Vec<Diagnostic> {
+        diags_in(src, Dialect::Cypher9)
+    }
+
+    fn diags_in(src: &str, dialect: Dialect) -> Vec<Diagnostic> {
         let q = parse(src).unwrap();
         let mut diags = Vec::new();
-        scope_pass(src, &q.first, &mut diags);
+        scope_pass(src, &q.first, dialect, &mut diags);
         diags
     }
 
@@ -551,6 +589,48 @@ mod tests {
     }
 
     #[test]
+    fn write_pattern_properties_see_what_the_engine_has_bound() {
+        let e01 = |src: &str, dialect| -> Vec<String> {
+            let d = diags_in(src, dialect);
+            assert!(
+                d.iter().all(|d| d.code == Code::E01UnboundVariable),
+                "{src}"
+            );
+            d.iter()
+                .map(|d| src[d.span.unwrap().start..d.span.unwrap().end].to_owned())
+                .collect()
+        };
+        // Both dialects: a property may not name a variable bound later in
+        // the clause (the engine has not bound it yet).
+        for dialect in [Dialect::Cypher9, Dialect::Revised] {
+            assert_eq!(e01("CREATE (b {c: a.k}), (a {k: 1})", dialect), ["a"]);
+            assert_eq!(e01("CREATE (a {k: a.x})", dialect), ["a"]);
+            assert!(e01("MATCH (n) CREATE (m {c: n.k})-[:T {w: n.k}]->(n)", dialect).is_empty());
+        }
+        // Cypher 9 creates element by element, so earlier ones are bound.
+        for src in [
+            "CREATE (a {k: 1}), (b {c: a.k})",
+            "CREATE (a:X {k: 1})-[:T]->(b:Y {c: a.k})",
+            "CREATE (a)-[:T {w: b.k}]->(b {k: 1})",
+            "MERGE (a:X {k: 1})-[:T]->(b:Y {c: a.k})",
+        ] {
+            assert!(e01(src, Dialect::Cypher9).is_empty(), "{src}");
+        }
+        // The revised dialect evaluates every property in the input record.
+        assert_eq!(
+            e01("CREATE (a {k: 1}), (b {c: a.k})", Dialect::Revised),
+            ["a"]
+        );
+        assert_eq!(
+            e01(
+                "MERGE ALL (a:X {k: 1})-[:T]->(b:Y {c: a.k})",
+                Dialect::Revised
+            ),
+            ["a"]
+        );
+    }
+
+    #[test]
     fn delete_of_value_kind_is_rejected() {
         let d = diags_for("UNWIND [1,2] AS x DELETE x");
         assert_eq!(d.len(), 1);
@@ -562,7 +642,7 @@ mod tests {
         let src = "MATCH (n) DELETE n RETURN n";
         let q = parse(src).unwrap();
         let mut diags = Vec::new();
-        let r = scope_pass(src, &q.first, &mut diags);
+        let r = scope_pass(src, &q.first, Dialect::Cypher9, &mut diags);
         assert!(!r.facts[0].multi_row);
         assert!(r.facts[1].multi_row);
         assert!(r.facts[1].deleted.is_empty());
@@ -574,7 +654,7 @@ mod tests {
         let src = "MATCH (a)-[r]->(b) RETURN a";
         let q = parse(src).unwrap();
         let mut diags = Vec::new();
-        let r = scope_pass(src, &q.first, &mut diags);
+        let r = scope_pass(src, &q.first, Dialect::Cypher9, &mut diags);
         let inc = &r.facts[1].incident_rels;
         assert_eq!(inc["a"], vec![Some("r".to_owned())]);
         assert_eq!(inc["b"], vec![Some("r".to_owned())]);

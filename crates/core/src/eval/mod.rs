@@ -210,6 +210,13 @@ fn eval_call(
             message: "DISTINCT only applies to aggregates".into(),
         });
     }
+    // `exists(<pattern>)` is the pattern predicate's own value: its `Bool`
+    // is never null, so the null test `exists(x)` applies would say `true`.
+    if let [arg @ Expr::PatternPredicate(_)] = args {
+        if name.eq_ignore_ascii_case("exists") {
+            return eval(ctx, rec, arg);
+        }
+    }
     let mut vals = Vec::with_capacity(args.len());
     for a in args {
         vals.push(eval(ctx, rec, a)?);

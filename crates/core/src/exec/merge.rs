@@ -1,4 +1,5 @@
-//! `MERGE` in all six semantics discussed by the paper.
+//! `MERGE` in all six semantics discussed by the paper, and the blueprint
+//! path that `CREATE` and every `MERGE` create through.
 //!
 //! * [`MergePolicy::Legacy`] — Cypher 9 `MERGE` (§3, §4.3): for each record,
 //!   match against the **current** graph (reading its own writes), else
@@ -18,23 +19,32 @@
 //!   exactly Definitions 1–2 of §8, the semantics of `MERGE SAME`
 //!   (Example 7 / Figure 9).
 //!
-//! The non-legacy variants never create directly into the graph: failing
-//! records are compiled into *blueprints* (a pending change-graph), the
+//! Every write pattern is walked into a *blueprint* per record
+//! ([`build_blueprint`]): what the record creates, in written order. The
+//! granularity decides when it is materialized. At item granularity
+//! (Cypher 9 `CREATE`, the create branch of the legacy `MERGE`) each node
+//! and relationship is created as soon as the walk reaches it. At table
+//! granularity (revised `CREATE`, the non-legacy variants) every failing
+//! record's blueprint is built against the input graph first, the
 //! collapsibility equivalence is computed on pending entities (old entities
-//! only ever collapse with themselves, Def. 1(iii)/Def. 2(v), which pending-
-//! only classes realize exactly), and one representative per class is
-//! materialized. This mirrors §6's "perform all the writing in a temporary
-//! change graph, which then gets minimized … and afterwards inserted".
+//! only ever collapse with themselves, Def. 1(iii)/Def. 2(v), which
+//! pending-only classes realize exactly), and one representative per class
+//! is materialized. This mirrors §6's "perform all the writing in a
+//! temporary change graph, which then gets minimized … and afterwards
+//! inserted"; revised `CREATE` is the case where no record matches and no
+//! entity collapses (§8.2: `G_create` is `CREATE` on `T_fail`).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::mem;
 
-use cypher_graph::{NodeId, PathValue, Value};
-use cypher_parser::ast::{NodePattern, PathPattern, RelDirection, SetItem};
+use cypher_graph::{NodeId, PathValue, RelId, Symbol, Value};
+use cypher_parser::ast::{Expr, NodePattern, PathPattern, RelDirection, SetItem};
 use cypher_parser::ParseError;
 
 use crate::error::{EvalError, Result};
-use crate::exec::{write, ExecCtx};
+use crate::eval::type_err;
+use crate::exec::write::{self, Granularity};
+use crate::exec::ExecCtx;
 use crate::plan::ClausePlan;
 use crate::table::{Record, Table};
 
@@ -126,11 +136,8 @@ pub(crate) fn merge(
 /// records can match what earlier records created, making the result
 /// dependent on [`crate::exec::ProcessingOrder`]. `ON MATCH SET` actions
 /// run per matched row, `ON CREATE SET` per created row, as Cypher 9 `SET`
-/// batches (one per item, applied at once). Creation stays path by path in
-/// written order ([`write::create_one_path`]), not through blueprints:
-/// those sort labels and properties and create every node before any
-/// relationship, which would change the interning order and the captured
-/// delta.
+/// batches (one per item, applied at once). A failing record creates its
+/// blueprint at item granularity, exactly as Cypher 9 `CREATE` does.
 fn merge_legacy(
     ctx: &mut ExecCtx,
     patterns: &[PathPattern],
@@ -154,12 +161,10 @@ fn merge_legacy(
                 out.extend(matches);
             }
             None => {
+                // Undirected relationships are created left-to-right
+                // (outgoing) — the extra nondeterminism §7 removed.
                 let mut created = rec.clone();
-                for pattern in patterns {
-                    // Undirected relationships are created left-to-right
-                    // (outgoing) — the extra nondeterminism §7 removed.
-                    write::create_one_path(ctx, &mut created, pattern)?;
-                }
+                build_blueprint(ctx, &mut created, patterns, Granularity::Item)?;
                 write::set_now(ctx, &created, on_create)?;
                 out.push(created);
             }
@@ -187,15 +192,194 @@ fn match_one(
 // Atomic family: MERGE ALL / Grouping / the collapse variants
 // ---------------------------------------------------------------------
 
+/// Phase 1: match every record against the *input* graph; the failing
+/// ones go to [`create_failing`].
+fn merge_atomic_family(
+    ctx: &mut ExecCtx,
+    policy: MergePolicy,
+    patterns: &[PathPattern],
+) -> Result<()> {
+    let plan = ctx.plan_patterns(patterns);
+    // matched[i] = Some(matched rows) or None (failing record).
+    let matched = ctx
+        .table
+        .rows
+        .iter()
+        .map(|rec| match_one(ctx, rec, patterns, plan.as_ref()))
+        .collect::<Result<Vec<_>>>()?;
+    create_failing(ctx, policy, patterns, matched)
+}
+
+/// Table granularity: `(G_create, T_match ⊎ T_create)` of §8.2. Every
+/// failing record's blueprint is built against the input graph and the
+/// input record before anything is created; then come the collapse
+/// classes, one materialized entity per class, and the output table in
+/// record order. Revised `CREATE` is this with every record failing and
+/// [`MergePolicy::Atomic`] (every entity its own class).
+pub(super) fn create_failing(
+    ctx: &mut ExecCtx,
+    policy: MergePolicy,
+    patterns: &[PathPattern],
+    matched: Vec<Option<Vec<Record>>>,
+) -> Result<()> {
+    let mut input = mem::take(&mut ctx.table);
+
+    // ---- Phase 2: build blueprints for failing records. ----
+    // Group index per failing record; groups hold the blueprint and the
+    // records bound to it.
+    let mut groups: Vec<Blueprint> = Vec::new();
+    let mut group_index: BTreeMap<Value, usize> = BTreeMap::new();
+    // record index → group index (only for failing records).
+    let mut record_group: BTreeMap<usize, usize> = BTreeMap::new();
+    for (i, rec) in input.rows.iter_mut().enumerate() {
+        if matched[i].is_some() {
+            continue;
+        }
+        let bp = build_blueprint(ctx, rec, patterns, Granularity::Table)?;
+        let gi = if policy.groups() {
+            *group_index.entry(bp.grouping_key()).or_insert_with(|| {
+                groups.push(bp);
+                groups.len() - 1
+            })
+        } else {
+            groups.push(bp);
+            groups.len() - 1
+        };
+        record_group.insert(i, gi);
+    }
+
+    // ---- Phase 3: collapse classes over pending entities. ----
+    // Node classes: map (group, slot) of *new* nodes → class id; bound
+    // slots resolve to existing node ids directly.
+    let mut node_class_of: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+    let mut node_classes: Vec<(usize, usize)> = Vec::new(); // representative (group, slot)
+    let mut node_class_index: BTreeMap<Value, usize> = BTreeMap::new();
+    for (gi, bp) in groups.iter().enumerate() {
+        for (si, node) in bp.nodes.iter().enumerate() {
+            let BpNode::New {
+                labels,
+                props,
+                position,
+            } = node
+            else {
+                continue;
+            };
+            let class_key = policy.node_positional().map(|positional| {
+                let mut parts = vec![encode_labels(labels), encode_props(props)];
+                if positional {
+                    parts.push(Value::Int(*position as i64));
+                }
+                Value::List(parts)
+            });
+            let mut new_class = || {
+                node_classes.push((gi, si));
+                node_classes.len() - 1
+            };
+            let class = match class_key {
+                // No collapsing: every pending node is its own class.
+                None => new_class(),
+                Some(key) => *node_class_index.entry(key).or_insert_with(new_class),
+            };
+            node_class_of.insert((gi, si), class);
+        }
+    }
+
+    // A relationship end in a class key: an existing node, or the class of
+    // a new one.
+    let end_key = |gi: usize, slot: usize| match &groups[gi].nodes[slot] {
+        BpNode::Bound(id) => Value::list([Value::str("E"), Value::Int(id.raw() as i64)]),
+        BpNode::New { .. } => Value::list([
+            Value::str("C"),
+            Value::Int(node_class_of[&(gi, slot)] as i64),
+        ]),
+    };
+
+    // Relationship classes.
+    let mut rel_class_of: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+    let mut rel_classes: Vec<(usize, usize)> = Vec::new();
+    let mut rel_class_index: BTreeMap<Value, usize> = BTreeMap::new();
+    for (gi, bp) in groups.iter().enumerate() {
+        for (ri, rel) in bp.rels.iter().enumerate() {
+            let class = match policy.rel_positional() {
+                None => {
+                    rel_classes.push((gi, ri));
+                    rel_classes.len() - 1
+                }
+                Some(positional) => {
+                    let mut parts = vec![
+                        Value::str(rel.rel_type.as_str()),
+                        encode_props(&rel.props),
+                        end_key(gi, rel.src),
+                        end_key(gi, rel.tgt),
+                    ];
+                    if positional {
+                        parts.push(Value::Int(rel.position as i64));
+                    }
+                    *rel_class_index
+                        .entry(Value::List(parts))
+                        .or_insert_with(|| {
+                            rel_classes.push((gi, ri));
+                            rel_classes.len() - 1
+                        })
+                }
+            };
+            rel_class_of.insert((gi, ri), class);
+        }
+    }
+
+    // ---- Phase 4: materialize one entity per class. ----
+    let mut node_ids: Vec<NodeId> = Vec::with_capacity(node_classes.len());
+    for &(gi, si) in &node_classes {
+        let BpNode::New { labels, props, .. } = &groups[gi].nodes[si] else {
+            unreachable!("classes contain only new nodes");
+        };
+        node_ids.push(create_node(ctx, labels, props)?);
+    }
+    let resolve_node = |gi: usize, slot: usize| -> NodeId {
+        match &groups[gi].nodes[slot] {
+            BpNode::Bound(id) => *id,
+            BpNode::New { .. } => node_ids[node_class_of[&(gi, slot)]],
+        }
+    };
+    let mut rel_ids: Vec<RelId> = Vec::with_capacity(rel_classes.len());
+    for &(gi, ri) in &rel_classes {
+        let rel = &groups[gi].rels[ri];
+        let (src, tgt) = (resolve_node(gi, rel.src), resolve_node(gi, rel.tgt));
+        rel_ids.push(create_rel(ctx, src, rel, tgt)?);
+    }
+
+    // ---- Phase 5: produce the output table, original record order. ----
+    let mut out = Vec::new();
+    for (i, (mut rec, rows)) in input.rows.into_iter().zip(matched).enumerate() {
+        match rows {
+            Some(rows) => out.extend(rows),
+            None => {
+                let gi = record_group[&i];
+                groups[gi].bind(&mut rec, &|slot| resolve_node(gi, slot), &|ri| {
+                    rel_ids[rel_class_of[&(gi, ri)]]
+                });
+                out.push(rec);
+            }
+        }
+    }
+    ctx.table = Table::from_rows(out);
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
+// Blueprints: what a write pattern creates for one record
+// ---------------------------------------------------------------------
+
 /// A node slot in a blueprint.
 #[derive(Clone, Debug, PartialEq)]
 enum BpNode {
-    /// Bound to an existing node of the input graph.
+    /// An existing node: bound in the record, or already materialized.
     Bound(NodeId),
     /// To be created.
     New {
+        /// In written order, first occurrence kept.
         labels: Vec<String>,
-        /// Evaluated properties with nulls dropped, sorted by key.
+        /// Evaluated properties in written order, nulls kept.
         props: Vec<(String, Value)>,
         /// Pattern position (running element index at first occurrence).
         position: usize,
@@ -222,292 +406,191 @@ struct BpPath {
     steps: Vec<(usize, usize)>,
 }
 
-/// Instantiation plan for one failing record (or group of records).
+impl BpPath {
+    fn value(&self, node: &dyn Fn(usize) -> NodeId, rel: &dyn Fn(usize) -> RelId) -> Value {
+        let mut nodes = vec![node(self.start)];
+        let mut rels = Vec::with_capacity(self.steps.len());
+        for &(ri, slot) in &self.steps {
+            rels.push(rel(ri));
+            nodes.push(node(slot));
+        }
+        Value::Path(PathValue { nodes, rels })
+    }
+}
+
+/// What one record's write patterns create: the one description `CREATE`
+/// and every `MERGE` build, in written order. Only the grouping and
+/// collapse keys sort and drop nulls.
 #[derive(Clone, Debug, Default)]
-struct Blueprint {
+pub(super) struct Blueprint {
     nodes: Vec<BpNode>,
     rels: Vec<BpRel>,
-    /// Named node variables → slot.
+    /// Pattern-local node variables → slot.
     node_vars: BTreeMap<String, usize>,
     paths: Vec<BpPath>,
 }
 
 impl Blueprint {
     /// Canonical grouping key: "the expressions appearing in the pattern"
-    /// (§6, Grouping MERGE) — bound identities, labels and evaluated
-    /// property values, in pattern order. Encoded as a [`Value`] so the
-    /// total global order provides cheap map keys.
+    /// (§6, Grouping MERGE) — bound identities, label sets and property
+    /// maps, in pattern order. Encoded as a [`Value`] so the total global
+    /// order provides cheap map keys.
     fn grouping_key(&self) -> Value {
-        let mut parts = Vec::new();
-        for n in &self.nodes {
-            parts.push(match n {
-                BpNode::Bound(id) => Value::list([Value::str("B"), Value::Int(id.raw() as i64)]),
-                BpNode::New { labels, props, .. } => Value::list([
-                    Value::str("N"),
-                    Value::List(labels.iter().map(Value::str).collect()),
-                    encode_props(props),
-                ]),
-            });
-        }
-        for r in &self.rels {
-            parts.push(Value::list([
+        let nodes = self.nodes.iter().map(|n| match n {
+            BpNode::Bound(id) => Value::list([Value::str("B"), Value::Int(id.raw() as i64)]),
+            BpNode::New { labels, props, .. } => {
+                Value::list([Value::str("N"), encode_labels(labels), encode_props(props)])
+            }
+        });
+        let rels = self.rels.iter().map(|r| {
+            Value::list([
                 Value::Int(r.src as i64),
                 Value::Int(r.tgt as i64),
                 Value::str(r.rel_type.as_str()),
                 encode_props(&r.props),
-            ]));
+            ])
+        });
+        Value::List(nodes.chain(rels).collect())
+    }
+
+    /// The slot of one node pattern: a node bound in `rec` (one slot per
+    /// node), a re-occurring pattern-local variable, or a new node —
+    /// created at once at item granularity (`now`).
+    fn node(
+        &mut self,
+        ctx: &mut ExecCtx,
+        rec: &mut Record,
+        np: &NodePattern,
+        position: &mut usize,
+        now: bool,
+    ) -> Result<usize> {
+        let my_position = *position;
+        *position += 1;
+        if let Some(var) = &np.var {
+            let slot = match rec.get(var) {
+                Some(Value::Node(n)) => Some(self.bound_slot(*n)),
+                Some(Value::Null) => return Err(EvalError::NullWriteTarget(var.clone())),
+                Some(_) => return Err(EvalError::VariableClash(var.clone())),
+                None => self.node_vars.get(var).copied(),
+            };
+            if let Some(slot) = slot {
+                if !np.labels.is_empty() || !np.props.is_empty() {
+                    return Err(EvalError::BoundPatternDecorated(var.clone()));
+                }
+                return Ok(slot);
+            }
         }
-        Value::List(parts)
+        let mut labels: Vec<String> = Vec::with_capacity(np.labels.len());
+        for l in &np.labels {
+            if !labels.contains(l) {
+                labels.push(l.clone());
+            }
+        }
+        let props = storable_props(ctx, rec, &np.props)?;
+        let slot = self.nodes.len();
+        self.nodes.push(if now {
+            let id = create_node(ctx, &labels, &props)?;
+            if let Some(var) = &np.var {
+                rec.bind(var.clone(), Value::Node(id));
+            }
+            BpNode::Bound(id)
+        } else {
+            BpNode::New {
+                labels,
+                props,
+                position: my_position,
+            }
+        });
+        if let Some(var) = &np.var {
+            self.node_vars.insert(var.clone(), slot);
+        }
+        Ok(slot)
+    }
+
+    fn bound_slot(&mut self, id: NodeId) -> usize {
+        let bound = BpNode::Bound(id);
+        self.nodes
+            .iter()
+            .position(|n| *n == bound)
+            .unwrap_or_else(|| {
+                self.nodes.push(bound);
+                self.nodes.len() - 1
+            })
+    }
+
+    /// The node of a slot that is bound or already materialized.
+    fn bound(&self, slot: usize) -> NodeId {
+        match self.nodes[slot] {
+            BpNode::Bound(id) => id,
+            BpNode::New { .. } => unreachable!("item granularity creates each node it reaches"),
+        }
+    }
+
+    /// Bind the blueprint's variables in `rec`, given the node each slot
+    /// and the relationship each rel index materialized as.
+    fn bind(&self, rec: &mut Record, node: &dyn Fn(usize) -> NodeId, rel: &dyn Fn(usize) -> RelId) {
+        for (var, &slot) in &self.node_vars {
+            rec.bind(var.clone(), Value::Node(node(slot)));
+        }
+        for (ri, r) in self.rels.iter().enumerate() {
+            if let Some(var) = &r.var {
+                rec.bind(var.clone(), Value::Rel(rel(ri)));
+            }
+        }
+        for path in &self.paths {
+            rec.bind(path.var.clone(), path.value(node, rel));
+        }
     }
 }
 
+/// A label list as a set: sorted, duplicates dropped.
+fn encode_labels(labels: &[String]) -> Value {
+    let set: BTreeSet<&str> = labels.iter().map(String::as_str).collect();
+    Value::List(set.into_iter().map(Value::str).collect())
+}
+
+/// A property list as a map: sorted by key, nulls dropped.
 fn encode_props(props: &[(String, Value)]) -> Value {
+    let map: BTreeMap<&str, &Value> = props
+        .iter()
+        .filter(|(_, v)| !v.is_null())
+        .map(|(k, v)| (k.as_str(), v))
+        .collect();
     Value::List(
-        props
-            .iter()
-            .map(|(k, v)| Value::list([Value::str(k.as_str()), v.clone()]))
+        map.into_iter()
+            .map(|(k, v)| Value::list([Value::str(k), v.clone()]))
             .collect(),
     )
 }
 
-fn merge_atomic_family(
+/// Walk one record's write patterns into a blueprint, in written order:
+/// the start node, then per step the far node and the relationship, then
+/// the path. Properties are evaluated in `rec` against the current graph.
+/// At [`Granularity::Item`] each new node and relationship is created as
+/// soon as the walk reaches it and bound into `rec`, so later elements
+/// read it; at [`Granularity::Table`] nothing is created and `rec` stays
+/// the input record.
+pub(super) fn build_blueprint(
     ctx: &mut ExecCtx,
-    policy: MergePolicy,
+    rec: &mut Record,
     patterns: &[PathPattern],
-) -> Result<()> {
-    let plan = ctx.plan_patterns(patterns);
-    let input = mem::take(&mut ctx.table);
-
-    // ---- Phase 1: match everything against the *input* graph. ----
-    // matched[i] = Some(matched rows) or None (failing record).
-    let matched = input
-        .rows
-        .iter()
-        .map(|rec| match_one(ctx, rec, patterns, plan.as_ref()))
-        .collect::<Result<Vec<_>>>()?;
-
-    // ---- Phase 2: build blueprints for failing records. ----
-    // Group index per failing record; groups hold the blueprint and the
-    // records bound to it.
-    let mut groups: Vec<Blueprint> = Vec::new();
-    let mut group_index: BTreeMap<Value, usize> = BTreeMap::new();
-    // record index → group index (only for failing records).
-    let mut record_group: BTreeMap<usize, usize> = BTreeMap::new();
-    for (i, rec) in input.rows.iter().enumerate() {
-        if matched[i].is_some() {
-            continue;
-        }
-        let bp = build_blueprint(ctx, rec, patterns)?;
-        let gi = if policy.groups() {
-            *group_index.entry(bp.grouping_key()).or_insert_with(|| {
-                groups.push(bp);
-                groups.len() - 1
-            })
-        } else {
-            groups.push(bp);
-            groups.len() - 1
-        };
-        record_group.insert(i, gi);
-    }
-
-    // ---- Phase 3: collapse classes over pending entities. ----
-    // Node classes: map (group, slot) of *new* nodes → class id; bound
-    // slots resolve to existing node ids directly.
-    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-    enum EndRef {
-        Existing(NodeId),
-        Class(usize),
-    }
-
-    let mut node_class_of: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-    let mut node_classes: Vec<(usize, usize)> = Vec::new(); // representative (group, slot)
-    let mut node_class_index: BTreeMap<Value, usize> = BTreeMap::new();
-    for (gi, bp) in groups.iter().enumerate() {
-        for (si, node) in bp.nodes.iter().enumerate() {
-            let BpNode::New {
-                labels,
-                props,
-                position,
-            } = node
-            else {
-                continue;
-            };
-            let class_key = policy.node_positional().map(|positional| {
-                let mut parts = vec![
-                    Value::List(labels.iter().map(Value::str).collect()),
-                    encode_props(props),
-                ];
-                if positional {
-                    parts.push(Value::Int(*position as i64));
-                }
-                Value::List(parts)
-            });
-            let mut new_class = || {
-                node_classes.push((gi, si));
-                node_classes.len() - 1
-            };
-            let class = match class_key {
-                // No collapsing: every pending node is its own class.
-                None => new_class(),
-                Some(key) => *node_class_index.entry(key).or_insert_with(new_class),
-            };
-            node_class_of.insert((gi, si), class);
-        }
-    }
-
-    let end_ref = |gi: usize, slot: usize| -> EndRef {
-        match &groups[gi].nodes[slot] {
-            BpNode::Bound(id) => EndRef::Existing(*id),
-            BpNode::New { .. } => EndRef::Class(node_class_of[&(gi, slot)]),
-        }
-    };
-
-    // Relationship classes.
-    let mut rel_class_of: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-    let mut rel_classes: Vec<(usize, usize)> = Vec::new();
-    let mut rel_class_index: BTreeMap<Value, usize> = BTreeMap::new();
-    for (gi, bp) in groups.iter().enumerate() {
-        for (ri, rel) in bp.rels.iter().enumerate() {
-            let class = match policy.rel_positional() {
-                None => {
-                    rel_classes.push((gi, ri));
-                    rel_classes.len() - 1
-                }
-                Some(positional) => {
-                    let src = end_ref(gi, rel.src);
-                    let tgt = end_ref(gi, rel.tgt);
-                    let enc_end = |e: EndRef| match e {
-                        EndRef::Existing(id) => {
-                            Value::list([Value::str("E"), Value::Int(id.raw() as i64)])
-                        }
-                        EndRef::Class(c) => Value::list([Value::str("C"), Value::Int(c as i64)]),
-                    };
-                    let mut parts = vec![
-                        Value::str(rel.rel_type.as_str()),
-                        encode_props(&rel.props),
-                        enc_end(src),
-                        enc_end(tgt),
-                    ];
-                    if positional {
-                        parts.push(Value::Int(rel.position as i64));
-                    }
-                    *rel_class_index
-                        .entry(Value::List(parts))
-                        .or_insert_with(|| {
-                            rel_classes.push((gi, ri));
-                            rel_classes.len() - 1
-                        })
-                }
-            };
-            rel_class_of.insert((gi, ri), class);
-        }
-    }
-
-    // ---- Phase 4: materialize one entity per class. ----
-    let mut node_ids: Vec<NodeId> = Vec::with_capacity(node_classes.len());
-    for &(gi, si) in &node_classes {
-        let BpNode::New { labels, props, .. } = &groups[gi].nodes[si] else {
-            unreachable!("classes contain only new nodes");
-        };
-        let labels: Vec<cypher_graph::Symbol> = labels.iter().map(|l| ctx.graph.sym(l)).collect();
-        let n_labels = labels.len();
-        let props: Vec<(cypher_graph::Symbol, Value)> = props
-            .iter()
-            .map(|(k, v)| (ctx.graph.sym(k), v.clone()))
-            .collect();
-        let n_props = props.len();
-        let id = ctx.graph.create_node(labels, props);
-        ctx.stats.nodes_created += 1;
-        ctx.stats.labels_added += n_labels;
-        ctx.stats.props_set += n_props;
-        ctx.guard_writes()?;
-        node_ids.push(id);
-    }
-    let resolve_node = |gi: usize, slot: usize| -> NodeId {
-        match &groups[gi].nodes[slot] {
-            BpNode::Bound(id) => *id,
-            BpNode::New { .. } => node_ids[node_class_of[&(gi, slot)]],
-        }
-    };
-    let mut rel_ids: Vec<cypher_graph::RelId> = Vec::with_capacity(rel_classes.len());
-    for &(gi, ri) in &rel_classes {
-        let rel = &groups[gi].rels[ri];
-        let src = resolve_node(gi, rel.src);
-        let tgt = resolve_node(gi, rel.tgt);
-        let ty = ctx.graph.sym(&rel.rel_type);
-        let props: Vec<(cypher_graph::Symbol, Value)> = rel
-            .props
-            .iter()
-            .map(|(k, v)| (ctx.graph.sym(k), v.clone()))
-            .collect();
-        let n_props = props.len();
-        let id = ctx.graph.create_rel(src, ty, tgt, props)?;
-        ctx.stats.rels_created += 1;
-        ctx.stats.props_set += n_props;
-        ctx.guard_writes()?;
-        rel_ids.push(id);
-    }
-
-    // ---- Phase 5: produce the output table, original record order. ----
-    let mut out = Vec::new();
-    for (i, rec) in input.rows.into_iter().enumerate() {
-        match &matched[i] {
-            Some(rows) => out.extend(rows.iter().cloned()),
-            None => {
-                let gi = record_group[&i];
-                let bp = &groups[gi];
-                let mut r = rec;
-                for (var, &slot) in &bp.node_vars {
-                    r.bind(var.clone(), Value::Node(resolve_node(gi, slot)));
-                }
-                for (ri, rel) in bp.rels.iter().enumerate() {
-                    if let Some(var) = &rel.var {
-                        r.bind(var.clone(), Value::Rel(rel_ids[rel_class_of[&(gi, ri)]]));
-                    }
-                }
-                for path in &bp.paths {
-                    let mut nodes = vec![resolve_node(gi, path.start)];
-                    let mut rels = Vec::new();
-                    for &(ri, slot) in &path.steps {
-                        rels.push(rel_ids[rel_class_of[&(gi, ri)]]);
-                        nodes.push(resolve_node(gi, slot));
-                    }
-                    r.bind(path.var.clone(), Value::Path(PathValue { nodes, rels }));
-                }
-                out.push(r);
-            }
-        }
-    }
-    ctx.table = Table::from_rows(out);
-    Ok(())
-}
-
-/// Compile the creation side of a failing record into a blueprint:
-/// evaluate all pattern expressions against the input graph, resolve bound
-/// variables, and assign pattern positions.
-fn build_blueprint(ctx: &ExecCtx, rec: &Record, patterns: &[PathPattern]) -> Result<Blueprint> {
+    granularity: Granularity,
+) -> Result<Blueprint> {
+    let now = matches!(granularity, Granularity::Item);
     let mut bp = Blueprint::default();
     let mut position = 0usize;
-    let mut bound_slots: BTreeMap<NodeId, usize> = BTreeMap::new();
-
+    // The relationships created so far (item granularity).
+    let mut rel_ids = Vec::new();
     for pattern in patterns {
-        let start = resolve_bp_node(
-            ctx,
-            rec,
-            &pattern.start,
-            &mut bp,
-            &mut bound_slots,
-            &mut position,
-        )?;
+        let start = bp.node(ctx, rec, &pattern.start, &mut position, now)?;
         let mut steps = Vec::new();
         let mut cur = start;
         for (rel_pat, node_pat) in &pattern.steps {
             let rel_position = position;
             position += 1;
-            let next =
-                resolve_bp_node(ctx, rec, node_pat, &mut bp, &mut bound_slots, &mut position)?;
+            let next = bp.node(ctx, rec, node_pat, &mut position, now)?;
             if let Some(rvar) = &rel_pat.var {
-                if rec.is_bound(rvar) {
+                if rec.is_bound(rvar) || bp.rels.iter().any(|r| r.var.as_ref() == Some(rvar)) {
                     return Err(EvalError::VariableClash(rvar.clone()));
                 }
             }
@@ -515,93 +598,92 @@ fn build_blueprint(ctx: &ExecCtx, rec: &Record, patterns: &[PathPattern]) -> Res
                 RelDirection::Outgoing | RelDirection::Undirected => (cur, next),
                 RelDirection::Incoming => (next, cur),
             };
-            let props = evaluated_props(ctx, rec, &rel_pat.props)?;
-            let ri = bp.rels.len();
-            bp.rels.push(BpRel {
+            let rel = BpRel {
                 src,
                 tgt,
                 rel_type: rel_pat.types[0].clone(),
-                props,
+                props: storable_props(ctx, rec, &rel_pat.props)?,
                 position: rel_position,
                 var: rel_pat.var.clone(),
-            });
-            steps.push((ri, next));
+            };
+            if now {
+                let id = create_rel(ctx, bp.bound(src), &rel, bp.bound(tgt))?;
+                if let Some(rvar) = &rel.var {
+                    rec.bind(rvar.clone(), Value::Rel(id));
+                }
+                rel_ids.push(id);
+            }
+            steps.push((bp.rels.len(), next));
+            bp.rels.push(rel);
             cur = next;
         }
         if let Some(pvar) = &pattern.var {
-            bp.paths.push(BpPath {
+            let path = BpPath {
                 var: pvar.clone(),
                 start,
                 steps,
-            });
+            };
+            if now {
+                rec.bind(
+                    pvar.clone(),
+                    path.value(&|s| bp.bound(s), &|ri| rel_ids[ri]),
+                );
+            }
+            bp.paths.push(path);
         }
     }
     Ok(bp)
 }
 
-fn resolve_bp_node(
+/// Evaluate a write pattern's properties in written order. Each value
+/// must be storable or null; nulls stay until materialization drops them
+/// (a created entity simply lacks the key — the Example 5 `null` rows).
+fn storable_props(
     ctx: &ExecCtx,
     rec: &Record,
-    np: &NodePattern,
-    bp: &mut Blueprint,
-    bound_slots: &mut BTreeMap<NodeId, usize>,
-    position: &mut usize,
-) -> Result<usize> {
-    let my_position = *position;
-    *position += 1;
-
-    if let Some(var) = &np.var {
-        // Bound in the driving table?
-        if let Some(v) = rec.get(var) {
-            return match v {
-                Value::Node(n) => {
-                    if !np.labels.is_empty() || !np.props.is_empty() {
-                        return Err(EvalError::BoundPatternDecorated(var.clone()));
-                    }
-                    Ok(*bound_slots.entry(*n).or_insert_with(|| {
-                        bp.nodes.push(BpNode::Bound(*n));
-                        bp.nodes.len() - 1
-                    }))
-                }
-                Value::Null => Err(EvalError::NullWriteTarget(var.clone())),
-                _ => Err(EvalError::VariableClash(var.clone())),
-            };
-        }
-        // Re-occurrence of a pattern-local variable?
-        if let Some(&slot) = bp.node_vars.get(var) {
-            if !np.labels.is_empty() || !np.props.is_empty() {
-                return Err(EvalError::BoundPatternDecorated(var.clone()));
+    props: &[(String, Expr)],
+) -> Result<Vec<(String, Value)>> {
+    props
+        .iter()
+        .map(|(k, e)| {
+            let v = ctx.eval(rec, e)?;
+            if !v.is_null() && !v.storable_as_property() {
+                return Err(type_err("storable property value", &v, "write pattern"));
             }
-            return Ok(slot);
-        }
-    }
-
-    let mut labels: Vec<String> = np.labels.clone();
-    labels.sort();
-    labels.dedup();
-    let props = evaluated_props(ctx, rec, &np.props)?;
-    bp.nodes.push(BpNode::New {
-        labels,
-        props,
-        position: my_position,
-    });
-    let slot = bp.nodes.len() - 1;
-    if let Some(var) = &np.var {
-        bp.node_vars.insert(var.clone(), slot);
-    }
-    Ok(slot)
+            Ok((k.clone(), v))
+        })
+        .collect()
 }
 
-/// Evaluate pattern properties against the input graph, dropping nulls
-/// (a created entity simply lacks the key — the Example 5 `null` rows) and
-/// rejecting non-storable values. Sorted by key for canonical comparison.
-fn evaluated_props(
-    ctx: &ExecCtx,
-    rec: &Record,
-    props: &[(String, cypher_parser::ast::Expr)],
-) -> Result<Vec<(String, Value)>> {
-    let mut out = write::eval_storable_props(ctx, rec, props)?;
-    out.retain(|(_, v)| !v.is_null());
-    out.sort_by(|(a, _), (b, _)| a.cmp(b));
-    Ok(out)
+// The materializer: the only code that creates what a write pattern
+// describes. Symbols are interned in written order (labels or type, then
+// keys, null-valued ones included); the store drops the nulls; the write
+// budget is checked after each entity.
+
+fn create_node(ctx: &mut ExecCtx, labels: &[String], props: &[(String, Value)]) -> Result<NodeId> {
+    let labels: Vec<Symbol> = labels.iter().map(|l| ctx.graph.sym(l)).collect();
+    ctx.stats.labels_added += labels.len();
+    let props = intern_props(ctx, props);
+    let id = ctx.graph.create_node(labels, props);
+    ctx.stats.nodes_created += 1;
+    ctx.guard_writes()?;
+    Ok(id)
+}
+
+fn create_rel(ctx: &mut ExecCtx, src: NodeId, rel: &BpRel, tgt: NodeId) -> Result<RelId> {
+    let ty = ctx.graph.sym(&rel.rel_type);
+    let props = intern_props(ctx, &rel.props);
+    let id = ctx.graph.create_rel(src, ty, tgt, props)?;
+    ctx.stats.rels_created += 1;
+    ctx.guard_writes()?;
+    Ok(id)
+}
+
+/// Intern the keys; the non-null values count as `props_set`.
+fn intern_props(ctx: &mut ExecCtx, props: &[(String, Value)]) -> Vec<(Symbol, Value)> {
+    ctx.stats.props_set += props.iter().filter(|(_, v)| !v.is_null()).count();
+    props
+        .iter()
+        .map(|(k, v)| (ctx.graph.sym(k), v.clone()))
+        .collect()
 }

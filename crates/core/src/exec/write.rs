@@ -1,177 +1,43 @@
 //! Update clauses other than `MERGE`: `CREATE`, `SET`, `REMOVE`,
 //! `DELETE`/`DETACH DELETE` and `FOREACH`.
 //!
-//! `SET`, `REMOVE` and `DELETE` are one step, `collect(batch) → check →
-//! apply`, run at one of two granularities derived from the dialect — the
-//! only thing that separates the two (§4 vs §7):
+//! Every update clause runs at one of two granularities derived from the
+//! dialect — the only thing that separates the two (§4 vs §7):
 //!
-//! * **Cypher 9** collects one batch per (record, item), in
-//!   [`ProcessingOrder`](crate::exec::ProcessingOrder), against the
-//!   *current* graph, checks nothing and applies it at once. Later items
-//!   and records read earlier writes, which reproduces the anomalies of
-//!   §4.1–§4.2; writes to deleted entities (zombies) are no-ops.
+//! * **Cypher 9** works one record and one item at a time, against the
+//!   *current* graph. `SET`, `REMOVE` and `DELETE` collect one batch per
+//!   (record, item), in [`ProcessingOrder`](crate::exec::ProcessingOrder),
+//!   check nothing and apply it at once. `CREATE` walks the records in
+//!   table order and creates each node and relationship as soon as it
+//!   reaches it. Later elements, items and records read earlier writes,
+//!   which reproduces the anomalies of §4.1–§4.2; writes to deleted
+//!   entities (zombies) are no-ops.
 //! * **Revised** collects one batch over the whole driving table against
-//!   the *input* graph, rejects conflicting `SET`s and dangling `DELETE`s,
-//!   applies the batch, and then replaces every reference to a deleted
-//!   entity in the driving table with `null`.
-//!
-//! `CREATE` has a single implementation: it never reads what it writes
-//! within a record, and per-record creation is observationally identical to
-//! atomic creation (§8.2 gives it one semantics).
+//!   the *input* graph and the input records. `SET` rejects conflicting
+//!   assignments and `DELETE` dangling deletions before the batch is
+//!   applied; afterwards every reference to a deleted entity in the
+//!   driving table is replaced with `null`. `CREATE` builds every record's
+//!   blueprint before it creates anything: it is `MERGE ALL` on a table
+//!   where no record matches (§8.2).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::mem;
 
-use cypher_graph::{
-    DeleteNodeMode, Direction, EntityRef, NodeId, PathValue, PropertyMap, RelId, Value,
-};
-use cypher_parser::ast::{
-    Clause, Dialect, Expr, NodePattern, PathPattern, RelDirection, RemoveItem, SetItem,
-};
+use cypher_graph::{DeleteNodeMode, Direction, EntityRef, NodeId, PropertyMap, RelId, Value};
+use cypher_parser::ast::{Clause, Dialect, Expr, PathPattern, RemoveItem, SetItem};
 
 use crate::error::{EvalError, Result};
 use crate::eval::type_err;
+use crate::exec::merge::{self, MergePolicy};
 use crate::exec::ExecCtx;
 use crate::table::{Record, Table};
 
-// ---------------------------------------------------------------------
-// CREATE
-// ---------------------------------------------------------------------
-
-/// `CREATE`: instantiate each pattern for every record, binding new
-/// variables (the "saturation" temporaries of §8.2 simply never get bound).
-pub(crate) fn create(ctx: &mut ExecCtx, patterns: &[PathPattern]) -> Result<()> {
-    let input = mem::take(&mut ctx.table);
-    let mut out = Vec::with_capacity(input.len());
-    for rec in input.rows {
-        let mut rec = rec;
-        for pattern in patterns {
-            create_one_path(ctx, &mut rec, pattern)?;
-        }
-        ctx.guard_writes()?;
-        out.push(rec);
-    }
-    ctx.table = Table::from_rows(out);
-    Ok(())
-}
-
-/// Instantiate one path pattern, mutating the record with new bindings.
-/// Also used by the legacy `MERGE` (which creates undirected relationships
-/// left-to-right, i.e. as outgoing).
-pub(crate) fn create_one_path(
-    ctx: &mut ExecCtx,
-    rec: &mut Record,
-    pattern: &PathPattern,
-) -> Result<()> {
-    let start = resolve_create_node(ctx, rec, &pattern.start)?;
-    let mut path_nodes = vec![start];
-    let mut path_rels = Vec::new();
-    let mut cur = start;
-    for (rel_pat, node_pat) in &pattern.steps {
-        let next = resolve_create_node(ctx, rec, node_pat)?;
-        let (src, tgt) = match rel_pat.direction {
-            RelDirection::Outgoing | RelDirection::Undirected => (cur, next),
-            RelDirection::Incoming => (next, cur),
-        };
-        if let Some(rvar) = &rel_pat.var {
-            if rec.is_bound(rvar) {
-                return Err(EvalError::VariableClash(rvar.clone()));
-            }
-        }
-        let props = eval_storable_props(ctx, rec, &rel_pat.props)?;
-        let ty = ctx.graph.sym(&rel_pat.types[0]);
-        let props: Vec<(cypher_graph::Symbol, Value)> = props
-            .into_iter()
-            .map(|(k, v)| (ctx.graph.sym(&k), v))
-            .collect();
-        let n_props = props.iter().filter(|(_, v)| !v.is_null()).count();
-        let rel = ctx.graph.create_rel(src, ty, tgt, props)?;
-        ctx.stats.rels_created += 1;
-        ctx.stats.props_set += n_props;
-        if let Some(rvar) = &rel_pat.var {
-            rec.bind(rvar.clone(), Value::Rel(rel));
-        }
-        path_nodes.push(next);
-        path_rels.push(rel);
-        cur = next;
-    }
-    if let Some(pvar) = &pattern.var {
-        rec.bind(
-            pvar.clone(),
-            Value::Path(PathValue {
-                nodes: path_nodes,
-                rels: path_rels,
-            }),
-        );
-    }
-    Ok(())
-}
-
-/// Resolve a node pattern within a write: a bound variable is reused (and
-/// must be bare), an unbound one creates a node and binds it.
-fn resolve_create_node(ctx: &mut ExecCtx, rec: &mut Record, np: &NodePattern) -> Result<NodeId> {
-    if let Some(var) = &np.var {
-        if let Some(v) = rec.get(var) {
-            return match v {
-                Value::Node(n) => {
-                    if !np.labels.is_empty() || !np.props.is_empty() {
-                        Err(EvalError::BoundPatternDecorated(var.clone()))
-                    } else {
-                        Ok(*n)
-                    }
-                }
-                Value::Null => Err(EvalError::NullWriteTarget(var.clone())),
-                _ => Err(EvalError::VariableClash(var.clone())),
-            };
-        }
-    }
-    let props = eval_storable_props(ctx, rec, &np.props)?;
-    let labels: Vec<cypher_graph::Symbol> = np.labels.iter().map(|l| ctx.graph.sym(l)).collect();
-    let n_labels = labels.len();
-    let props: Vec<(cypher_graph::Symbol, Value)> = props
-        .into_iter()
-        .map(|(k, v)| (ctx.graph.sym(&k), v))
-        .collect();
-    let n_props = props.iter().filter(|(_, v)| !v.is_null()).count();
-    let node = ctx.graph.create_node(labels, props);
-    ctx.stats.nodes_created += 1;
-    ctx.stats.labels_added += n_labels;
-    ctx.stats.props_set += n_props;
-    if let Some(var) = &np.var {
-        rec.bind(var.clone(), Value::Node(node));
-    }
-    Ok(node)
-}
-
-/// Evaluate a pattern property map; every value must be storable or null
-/// (nulls are retained here — creation drops them, grouping keys need them
-/// dropped consistently, which the store guarantees).
-pub(crate) fn eval_storable_props(
-    ctx: &ExecCtx,
-    rec: &Record,
-    props: &[(String, Expr)],
-) -> Result<Vec<(String, Value)>> {
-    let eval_ctx = ctx.eval_ctx();
-    let mut out = Vec::with_capacity(props.len());
-    for (k, e) in props {
-        let v = crate::eval::eval(&eval_ctx, rec, e)?;
-        if !v.is_null() && !v.storable_as_property() {
-            return Err(type_err("storable property value", &v, "write pattern"));
-        }
-        out.push((k.clone(), v));
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------
-// SET, REMOVE, DELETE: collect(batch) → check → apply
-// ---------------------------------------------------------------------
-
 /// The batches an update clause collects, checks and applies its changes
 /// in: the one parameter that separates the two dialects.
-enum Granularity {
+pub(super) enum Granularity {
     /// Cypher 9 (§4): one batch per (record, item), in processing order,
-    /// collected against the current graph and applied unchecked.
+    /// collected against the current graph and applied unchecked; each
+    /// created entity is materialized as soon as it is reached.
     Item,
     /// Revised (§7): one batch for the whole driving table, collected
     /// against the input graph and checked before it is applied.
@@ -186,6 +52,29 @@ impl From<Dialect> for Granularity {
         }
     }
 }
+
+/// `CREATE` (§8.2): instantiate the patterns for every record, binding the
+/// new variables (the "saturation" temporaries simply never get bound).
+pub(crate) fn create(ctx: &mut ExecCtx, patterns: &[PathPattern]) -> Result<()> {
+    match Granularity::from(ctx.engine.dialect) {
+        Granularity::Item => {
+            let mut table = mem::take(&mut ctx.table);
+            for rec in &mut table.rows {
+                merge::build_blueprint(ctx, rec, patterns, Granularity::Item)?;
+            }
+            ctx.table = table;
+            Ok(())
+        }
+        Granularity::Table => {
+            let failing = vec![None; ctx.table.len()];
+            merge::create_failing(ctx, MergePolicy::Atomic, patterns, failing)
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// SET, REMOVE, DELETE: collect(batch) → check → apply
+// ---------------------------------------------------------------------
 
 /// One change of an update batch, named by strings until it is applied.
 enum Change {
@@ -484,13 +373,10 @@ impl Checked {
             ctx.guard_writes()?;
         }
         if !nodes.is_empty() || !rels.is_empty() {
-            let gone = |e: EntityRef| match e {
+            null_deleted(&mut ctx.table, &|e| match e {
                 EntityRef::Node(n) => nodes.contains_key(&n),
                 EntityRef::Rel(r) => rels.contains(&r),
-            };
-            for rec in &mut ctx.table.rows {
-                rec.map_values(&mut |v| substitute_deleted(v, &gone));
-            }
+            });
         }
         Ok(())
     }
@@ -565,6 +451,14 @@ fn live(ctx: &ExecCtx, entity: EntityRef) -> bool {
     }
 }
 
+/// Replace every reference to a deleted entity in the driving table with
+/// `null` (§7); records that hold none are left as they are.
+fn null_deleted(table: &mut Table, gone: &dyn Fn(EntityRef) -> bool) {
+    for rec in &mut table.rows {
+        rec.map_values(&mut |v| substitute_deleted(v, gone));
+    }
+}
+
 /// Null substitution for deleted references, through lists and maps.
 fn substitute_deleted(v: &Value, gone: &dyn Fn(EntityRef) -> bool) -> Option<Value> {
     match v {
@@ -604,11 +498,13 @@ fn substitute_each<'v>(
 // ---------------------------------------------------------------------
 
 /// `FOREACH (x IN list | updates…)`: run the update clauses once per list
-/// element per record, with the element bound. The driving table is
-/// unchanged.
+/// element per record, with the element bound. The driving table keeps its
+/// records; in the revised dialect, references to what the body deleted
+/// become `null` (§7).
 pub(crate) fn foreach(ctx: &mut ExecCtx, var: &str, list: &Expr, body: &[Clause]) -> Result<()> {
     let order = ctx.order_indices();
-    let table = mem::take(&mut ctx.table);
+    let mut table = mem::take(&mut ctx.table);
+    let deleted = ctx.stats.nodes_deleted + ctx.stats.rels_deleted;
     for i in order {
         let items = match ctx.eval(&table.rows[i], list)? {
             Value::Null => continue,
@@ -624,6 +520,12 @@ pub(crate) fn foreach(ctx: &mut ExecCtx, var: &str, list: &Expr, body: &[Clause]
             ctx.table = Table::from_rows(vec![inner]);
             body.iter().try_for_each(|c| ctx.apply(c))?;
         }
+    }
+    // Between revised clauses every entity of a driving table is live, so
+    // whatever is gone now was deleted by the body.
+    let revised = matches!(Granularity::from(ctx.engine.dialect), Granularity::Table);
+    if revised && ctx.stats.nodes_deleted + ctx.stats.rels_deleted > deleted {
+        null_deleted(&mut table, &|e| !live(ctx, e));
     }
     ctx.table = table;
     Ok(())

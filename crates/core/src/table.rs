@@ -196,22 +196,18 @@ impl Record {
         )
     }
 
-    /// Map every value in place (used by the revised `DELETE` to substitute
-    /// `null` for deleted entities). Rebuilds the record flat.
+    /// Replace the values `f` maps to `Some` (used by the revised `DELETE`
+    /// to substitute `null` for deleted entities). Only those keys are
+    /// rebound: a record `f` leaves alone is not touched.
     pub fn map_values(&mut self, f: &mut impl FnMut(&Value) -> Option<Value>) {
-        let owned: Vec<(String, Value)> = self
+        let changed: Vec<(String, Value)> = self
             .flat()
             .into_iter()
-            .map(|(k, v)| (k.to_owned(), v.clone()))
+            .filter_map(|(k, v)| f(v).map(|new| (k.to_owned(), new)))
             .collect();
-        let mut map = BTreeMap::new();
-        for (k, mut v) in owned {
-            if let Some(new) = f(&v) {
-                v = new;
-            }
-            map.insert(k, v);
+        for (k, v) in changed {
+            self.bind(k, v);
         }
-        *self = Record::from_map(map);
     }
 
     /// Row of values in the order of the given columns (missing → null).

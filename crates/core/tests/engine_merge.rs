@@ -434,6 +434,54 @@ fn merge_all_never_reads_its_own_writes() {
 }
 
 #[test]
+fn merge_creates_keys_and_labels_as_create_does() {
+    // On a fresh graph the keys are interned in written order, so
+    // `keys(n)` reads `b` before `a` whichever clause created the node,
+    // and a repeated label counts once.
+    let stmts = [
+        (Dialect::Revised, "CREATE (n:B:A:B {b: 1, a: 2})"),
+        (Dialect::Revised, "MERGE ALL (n:B:A:B {b: 1, a: 2})"),
+        (Dialect::Revised, "MERGE SAME (n:B:A:B {b: 1, a: 2})"),
+        (Dialect::Cypher9, "CREATE (n:B:A:B {b: 1, a: 2})"),
+        (Dialect::Cypher9, "MERGE (n:B:A:B {b: 1, a: 2})"),
+    ];
+    for (dialect, stmt) in stmts {
+        let mut g = PropertyGraph::new();
+        let r = Engine::builder(dialect)
+            .build()
+            .run(&mut g, &format!("{stmt} RETURN keys(n) AS k"))
+            .unwrap();
+        assert_eq!(
+            r.column("k"),
+            vec![Value::list([Value::str("b"), Value::str("a")])],
+            "{stmt}"
+        );
+        assert_eq!(r.stats.labels_added, 2, "{stmt}");
+    }
+}
+
+#[test]
+fn merge_properties_see_earlier_elements_only_in_legacy_merge() {
+    let mut g = PropertyGraph::new();
+    Engine::legacy()
+        .run(&mut g, "MERGE (a:X {k: 1})-[:T]->(b:Y {c: a.k})")
+        .unwrap();
+    let r = Engine::legacy()
+        .run(&mut g, "MATCH (b:Y) RETURN b.c AS c")
+        .unwrap();
+    assert_eq!(r.column("c"), vec![Value::Int(1)]);
+    // MERGE ALL evaluates its properties in the input record, as revised
+    // CREATE does.
+    let err = Engine::revised()
+        .run(
+            &mut PropertyGraph::new(),
+            "MERGE ALL (a:X {k: 1})-[:T]->(b:Y {c: a.k})",
+        )
+        .unwrap_err();
+    assert_eq!(err.to_string(), "variable `a` not defined");
+}
+
+#[test]
 fn merge_same_collapses_identical_creations() {
     let mut g = PropertyGraph::new();
     Engine::revised()

@@ -129,3 +129,46 @@ fn pattern_predicate_respects_match_mode() {
         .unwrap();
     assert_eq!(homo.rows[0][0], Value::Int(1));
 }
+
+#[test]
+fn exists_of_a_pattern_is_the_pattern_predicate() {
+    // One node without relationships: the pattern never matches, so
+    // `exists(<pattern>)` must agree with the bare predicate.
+    for dialect in [Dialect::Cypher9, Dialect::Revised] {
+        let engine = Engine::builder(dialect).build();
+        let mut g = PropertyGraph::new();
+        engine.run(&mut g, "CREATE (:A)").unwrap();
+        let rows = |g: &mut PropertyGraph, q: &str| engine.run(g, q).unwrap().rows;
+        assert!(rows(&mut g, "MATCH (n:A) WHERE (n)-[:T]->() RETURN n").is_empty());
+        assert!(
+            rows(&mut g, "MATCH (n:A) WHERE exists((n)-[:T]->()) RETURN n").is_empty(),
+            "{dialect:?}"
+        );
+        assert_eq!(
+            rows(&mut g, "MATCH (n:A) RETURN (n)-[:T]->() AS p"),
+            vec![vec![Value::Bool(false)]]
+        );
+        assert_eq!(
+            rows(&mut g, "MATCH (n:A) RETURN exists((n)-[:T]->()) AS e"),
+            vec![vec![Value::Bool(false)]],
+            "{dialect:?}"
+        );
+        // As a written property value, too.
+        engine
+            .run(&mut g, "MATCH (n:A) SET n.e = exists((n)-[:T]->())")
+            .unwrap();
+        assert_eq!(
+            rows(&mut g, "MATCH (n:A) RETURN n.e AS e"),
+            vec![vec![Value::Bool(false)]],
+            "{dialect:?}"
+        );
+        // `exists` of a property keeps its null test.
+        assert_eq!(
+            rows(
+                &mut g,
+                "MATCH (n:A) RETURN exists(n.e) AS e, exists(n.z) AS z"
+            ),
+            vec![vec![Value::Bool(true), Value::Bool(false)]]
+        );
+    }
+}

@@ -102,6 +102,77 @@ fn create_incoming_direction() {
     assert!(g.node(data.src).unwrap().labels.contains(&b_label));
 }
 
+/// `m.c` for k = 1, 2 after a `CREATE` whose property reads a relationship
+/// that the same clause creates for another record.
+fn create_reading_its_writes(engine: &Engine, order: &str) -> Vec<Value> {
+    let mut g = PropertyGraph::new();
+    engine
+        .run(&mut g, "CREATE (:A), (:B {k: 1}), (:B {k: 2})")
+        .unwrap();
+    engine
+        .run(
+            &mut g,
+            &format!(
+                "MATCH (n:A), (b:B) WITH n, b ORDER BY b.k {order} \
+                 CREATE (:M {{k: b.k, c: (n)-[:T]->()}}), (n)-[:T]->(b)"
+            ),
+        )
+        .unwrap();
+    engine
+        .run(&mut g, "MATCH (m:M) RETURN m.c AS c ORDER BY m.k")
+        .unwrap()
+        .column("c")
+}
+
+#[test]
+fn revised_create_reads_only_the_input_graph() {
+    let (f, t) = (Value::Bool(false), Value::Bool(true));
+    // Revised: every blueprint is built against the input graph, in
+    // either order — what `MERGE ALL` gives on the same table.
+    for order in ["ASC", "DESC"] {
+        let c = create_reading_its_writes(&Engine::revised(), order);
+        assert_eq!(c, vec![f.clone(), f.clone()], "{order}");
+    }
+    // Cypher 9 reads its own writes, so the order shows.
+    let legacy = |order| create_reading_its_writes(&Engine::legacy(), order);
+    assert_eq!(legacy("ASC"), vec![f.clone(), t.clone()]);
+    assert_eq!(legacy("DESC"), vec![t, f]);
+}
+
+#[test]
+fn create_properties_see_earlier_elements_only_in_cypher9() {
+    for q in [
+        "CREATE (a:X {k: 1}), (b:Y {c: a.k})",
+        "CREATE (a:X {k: 1})-[:T]->(b:Y {c: a.k})",
+    ] {
+        let mut g = PropertyGraph::new();
+        Engine::legacy().run(&mut g, q).unwrap();
+        let r = Engine::legacy()
+            .run(&mut g, "MATCH (b:Y) RETURN b.c AS c")
+            .unwrap();
+        assert_eq!(r.column("c"), vec![Value::Int(1)], "{q}");
+        // Revised: properties are evaluated in the input record.
+        let err = Engine::revised()
+            .run(&mut PropertyGraph::new(), q)
+            .unwrap_err();
+        assert!(
+            matches!(err, EvalError::UnknownVariable(ref v) if v == "a"),
+            "{q}: {err}"
+        );
+    }
+}
+
+#[test]
+fn create_counts_each_distinct_label_once() {
+    for engine in [Engine::legacy(), Engine::revised()] {
+        let mut g = PropertyGraph::new();
+        let r = engine.run(&mut g, "CREATE (n:A:B:A)").unwrap();
+        assert_eq!(r.stats.labels_added, 2);
+        let n = g.node_ids().next().unwrap();
+        assert_eq!(g.node(n).unwrap().labels.len(), 2);
+    }
+}
+
 // ---------------------------------------------------------------------
 // SET — Example 1 (swap) and Example 2 (conflict)
 // ---------------------------------------------------------------------
@@ -531,6 +602,24 @@ fn foreach_nested() {
         )
         .unwrap();
     assert_eq!(g.node_count(), 4);
+}
+
+#[test]
+fn revised_foreach_delete_nulls_the_outer_table() {
+    let q = "MATCH (n:A) FOREACH (x IN [1] | DELETE n) RETURN n, id(n) AS i, labels(n) AS l";
+    let mut g = PropertyGraph::new();
+    Engine::revised()
+        .run(&mut g, "CREATE (:A {id: 1})")
+        .unwrap();
+    let r = Engine::revised().run(&mut g, q).unwrap();
+    assert_eq!(r.rows, vec![vec![Value::Null, Value::Null, Value::Null]]);
+    // Cypher 9 keeps its zombie.
+    let mut g = PropertyGraph::new();
+    Engine::legacy().run(&mut g, "CREATE (:A {id: 1})").unwrap();
+    let r = Engine::legacy().run(&mut g, q).unwrap();
+    assert!(matches!(r.rows[0][0], Value::Node(_)));
+    assert_eq!(r.rows[0][1], Value::Int(0));
+    assert_eq!(r.rows[0][2], Value::list([]));
 }
 
 #[test]

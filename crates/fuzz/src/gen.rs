@@ -177,6 +177,9 @@ struct Ctx<'a> {
     rng: &'a mut SplitMix64,
     dialect: Dialect,
     scope: Vec<(String, VKind)>,
+    /// How many `scope` entries the current `CREATE` found bound: the
+    /// variables its property values may read in both dialects.
+    clause_scope: usize,
     fresh: usize,
 }
 
@@ -186,6 +189,7 @@ impl<'a> Ctx<'a> {
             rng,
             dialect,
             scope: Vec::new(),
+            clause_scope: 0,
             fresh: 0,
         }
     }
@@ -477,33 +481,62 @@ impl<'a> Ctx<'a> {
                 }
             }
             _ => match self.pick_var(VKind::Node) {
-                // Pattern predicate: does an edge leave this node?
-                Some(v) => Expr::PatternPredicate(Box::new(PathPattern {
-                    var: None,
-                    shortest: None,
-                    start: NodePattern {
-                        var: Some(v),
-                        labels: vec![],
-                        props: vec![],
-                    },
-                    steps: vec![(
-                        RelPattern {
-                            var: None,
-                            types: if self.rng.chance(1, 2) {
-                                vec![(*self.rng.pick(RTYPES)).to_owned()]
-                            } else {
-                                vec![]
-                            },
-                            props: vec![],
-                            direction: RelDirection::Outgoing,
-                            length: None,
-                        },
-                        NodePattern::default(),
-                    )],
-                })),
+                Some(v) => self.edge_predicate(v),
                 None => Expr::Literal(Lit::Bool(false)),
             },
         }
+    }
+
+    /// Pattern predicate: does an edge leave node `v`?
+    fn edge_predicate(&mut self, v: String) -> Expr {
+        Expr::PatternPredicate(Box::new(PathPattern {
+            var: None,
+            shortest: None,
+            start: NodePattern {
+                var: Some(v),
+                labels: vec![],
+                props: vec![],
+            },
+            steps: vec![(
+                RelPattern {
+                    var: None,
+                    types: if self.rng.chance(1, 2) {
+                        vec![(*self.rng.pick(RTYPES)).to_owned()]
+                    } else {
+                        vec![]
+                    },
+                    props: vec![],
+                    direction: RelDirection::Outgoing,
+                    length: None,
+                },
+                NodePattern::default(),
+            )],
+        }))
+    }
+
+    /// A `CREATE` property value that reads the graph: a pattern predicate,
+    /// bare or under `exists`, over a node bound before the clause. This is
+    /// where a clause that reads its own writes shows it.
+    fn written_predicate(&mut self) -> Option<Expr> {
+        let nodes: Vec<String> = self.scope[..self.clause_scope]
+            .iter()
+            .filter(|(_, k)| *k == VKind::Node)
+            .map(|(n, _)| n.clone())
+            .collect();
+        if nodes.is_empty() {
+            return None;
+        }
+        let v = nodes[self.rng.below(nodes.len())].clone();
+        let pred = self.edge_predicate(v);
+        Some(if self.rng.chance(1, 2) {
+            Expr::FnCall {
+                name: "exists".into(),
+                distinct: false,
+                args: vec![pred],
+            }
+        } else {
+            pred
+        })
     }
 
     // -- patterns -----------------------------------------------------------
@@ -526,6 +559,8 @@ impl<'a> Ctx<'a> {
             }
             let value = if reading && self.rng.chance(1, 4) {
                 Expr::Parameter((*self.rng.pick(PARAMS)).to_owned())
+            } else if !reading && self.rng.chance(1, 5) {
+                self.written_predicate().unwrap_or_else(|| self.lit())
             } else {
                 self.lit()
             };
@@ -887,6 +922,7 @@ impl<'a> Ctx<'a> {
     // -- update clauses -----------------------------------------------------
 
     fn create_clause(&mut self) -> Clause {
+        self.clause_scope = self.scope.len();
         let mut patterns = Vec::new();
         for _ in 0..self.rng.range(1, 2) {
             let pattern = match self.rng.weighted(&[3, 3, 2]) {
